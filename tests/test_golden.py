@@ -1,0 +1,190 @@
+"""Golden hashes: fixed seeds must keep giving the same bits.
+
+Each case hashes the float64 bytes of a computation's output with SHA-256.
+The solver cases cover the solution coordinates plus the iteration count,
+the violated rows, the maximum violation and the guarantee flags; the
+spectral cases cover eigenvalues, Jordan frames and exponentials on a fixed
+random set of elements.  A speed-up that reorders a floating-point sum shows
+up here as a changed hash.  A change that alters outputs on purpose says so
+and re-pins the values below.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from conedp.eja import (
+    AlgebraDescriptor,
+    eigenvalues,
+    expm,
+    from_coords,
+    spectral_decompose,
+    to_coords,
+)
+from conedp.harness.generators import generate_covering_sdp, generate_feasible_scp
+from conedp.mechanisms import PrivacyBudget, RandomSource, Sensitivity
+from conedp.mwu import cone_mwu_init, cone_mwu_step
+from conedp.solvers import (
+    SolverConfig,
+    covering_density_lower_bound,
+    solve_covering_high_sensitivity,
+    solve_feasibility,
+    solve_scalar_private,
+)
+
+_ALGEBRAS = ("s3", "r2+s3+q4", "s2+s5")
+
+
+class _Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def floats(self, values) -> None:
+        self._h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+    def text(self, value) -> None:
+        self._h.update(repr(value).encode())
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def _report_digest(report) -> str:
+    d = _Digest()
+    d.floats(to_coords(report.solution))
+    d.text(report.iterations)
+    d.text([i for i, _ in report.violated])
+    d.floats([v for _, v in report.violated])
+    d.floats([report.max_violation])
+    d.text(report.guarantee_flags)
+    return d.hexdigest()
+
+
+def _feasibility(spec: str, seed: int) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+    return _report_digest(solve_feasibility(instance, 0.3))
+
+
+def _scalar_private(spec: str, seed: int) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+    config = SolverConfig(
+        alpha=0.3,
+        beta=0.05,
+        budget=PrivacyBudget(1.0, 1e-5),
+        sensitivity=Sensitivity(0.05, "linf"),
+    )
+    return _report_digest(solve_scalar_private(instance, config, RandomSource(seed)))
+
+
+def _covering(seed: int) -> str:
+    instance, meta = generate_covering_sdp(2, 8, seed, analytic=seed == 0)
+    opt = meta["planted_opt"]
+    s = min(7, math.ceil(covering_density_lower_bound(2, 1.0, 0.01, 0.1, 8)))
+    config = SolverConfig(
+        alpha=opt, beta=0.1, budget=PrivacyBudget(1.0, 0.01), density=s
+    )
+    report = solve_covering_high_sensitivity(instance, opt, config, RandomSource(seed))
+    return _report_digest(report)
+
+
+def _spectral_elements(rank: int):
+    rng = RandomSource(7000 + rank)
+    alg = AlgebraDescriptor.sym(rank)
+    for scale in (1.0, 1e-3, 40.0):
+        for _ in range(3):
+            yield from_coords(alg, scale * np.asarray(rng.standard_normal(alg.dim)))
+
+
+def _spectral(rank: int) -> str:
+    d = _Digest()
+    for x in _spectral_elements(rank):
+        d.floats(eigenvalues(x))
+        dec = spectral_decompose(x)
+        d.floats(dec.eigenvalues)
+        for q in dec.frame:
+            d.floats(to_coords(q))
+        d.floats(to_coords(expm(x)))
+    return d.hexdigest()
+
+
+def _mixed_expm(spec: str) -> str:
+    alg = AlgebraDescriptor.from_spec(spec)
+    rng = RandomSource(len(spec))
+    d = _Digest()
+    for scale in (0.5, 3.0, 30.0):
+        for _ in range(4):
+            x = from_coords(alg, scale * np.asarray(rng.standard_normal(alg.dim)))
+            d.floats(to_coords(expm(x)))
+            dec = spectral_decompose(x)
+            d.floats(dec.eigenvalues)
+            for q in dec.frame:
+                d.floats(to_coords(q))
+    return d.hexdigest()
+
+
+def _cone_iterates(spec: str) -> str:
+    alg = AlgebraDescriptor.from_spec(spec)
+    rng = RandomSource(31 * len(spec))
+    state = cone_mwu_init(alg, 0.7)
+    d = _Digest()
+    for _ in range(25):
+        loss = from_coords(alg, np.asarray(rng.standard_normal(alg.dim)))
+        state = cone_mwu_step(state, loss)
+        d.floats(to_coords(state.iterate))
+    return d.hexdigest()
+
+
+GOLDEN = {
+    "cone-step-r2+s3+q4": "920e5c91a21e06228877c8d1a3b90ac86b85fb9fbb97283a6405ac193a8312c8",
+    "cone-step-s3": "53aec34e47bbb083ca0156f1cf2509d56f1742c8d804a505a4ed76d6dab21213",
+    "cone-step-s8": "045d94caad0c67fb9211be7d14e12dadf692b893b1203f1df6c8542b24150d25",
+    "covering-s2-0": "018c2861fd52daa66f5d9ea96d5bd52b8dd804e3aad79862277a819e7b7b076b",
+    "covering-s2-5": "d1f706026a01355888688f8274e8a1cd9375042511db9a3586c29ff5d4f72368",
+    "covering-s2-6": "a7a0d4d44838dd0fa83dde83916b5ec89521775274b76ee3b499861c3e8c1dad",
+    "expm-q3+r3": "49a62c20e121665fae28470708286fb3112204dbd66d17754727b74171b36094",
+    "expm-r2+s3+q4": "b398326dfd70244680750fc214c2ddf0312567c1a7853d9f4f28cd050a42600f",
+    "expm-r4": "f0541cd7bb207e69990d6ea6881ebe07bc3de667bb2249b1f33fa5995968a7bc",
+    "expm-s2+s5": "52018fe74960f7645ae8d0aad7bc651eb6c5cff3a590b90251eb809b8113e954",
+    "expm-s3": "3b7154032d2775c23399b392fe5f4cafcd206a1fe9930ad51c74db67b40a64c2",
+    "feasibility-r2+s3+q4-1": "f2421257910bdfa014ea1ae055d1931019835d56f3b068ae136c8d9a2d005aff",
+    "feasibility-r2+s3+q4-2": "d5b7bf6e7ecd7da6368835cfba965746e154f437a8581d9d53b7840c654483b3",
+    "feasibility-s2+s5-1": "6ee71e81c93510c7e6cdb25f5daf50a4483bf5871ba5cf2803b21552b7218ffc",
+    "feasibility-s2+s5-2": "23a5c214b409f84244d397939313ade5e2645e668f1bc21d0fe7ab0ae84a10ca",
+    "feasibility-s3-1": "d4386e8904ce73bd62fdf55b6a2a4f9ebff670870faf4d74b258f802341d8ca5",
+    "feasibility-s3-2": "0aca85162ea17211c59a6970ef79572d7e7f3c14cd3b0c5f5a3293f55c614e66",
+    "scalar-r2+s3+q4-3": "e8100d5617ffcb29f87716cfdc8d0ed1e83b5ac44935befe36f4c1809385d94a",
+    "scalar-r2+s3+q4-4": "bf0f343a94697d6e9e330730d9a8e930f53d2c08f87c33109cb4eefe4c3e7151",
+    "scalar-s2+s5-3": "73b547d89cc7b8a1fbacfc110efb3bf56c1b3f9a0d4543ab55d8df09cc4d3c78",
+    "scalar-s2+s5-4": "61beea5ba889c6aabd71b5194290aec6f9a2415a7309ae1598162d6fdf8265ef",
+    "scalar-s3-3": "082fc19cdad81a139d08cd5d3ea474735f39f61b1f27f18e1c486a6013fde063",
+    "scalar-s3-4": "dbc91f753b9f34053028bc43a2916682d4b151762fdb86d65da3ba6789ea13b3",
+    "spectral-s1": "2814635f8f7a937bec601e2207f5a6806b4268bacf5e1abe9c3c0d9575c390da",
+    "spectral-s10": "b099f9b7839ef710e1ca144bc1c7657b5efe6302b87c5ff68e74ff1e2825427c",
+    "spectral-s2": "eb6e639255d82de99295c83e0225158acfad6f4ecbffe6dcb110d9a54b632a33",
+    "spectral-s3": "191ef64c78367d6e81636fc6772da8f00ff83bd2df39ff11d1098d3c896c1ada",
+    "spectral-s4": "e35bf5003ec36e5aeea8cc83f379d1c7473cce2e7687879681af7c6e22bbb27e",
+    "spectral-s5": "33c5d518ae9188bcde8c8947360e741062836e41cf96e1aa838e94e4a6464973",
+    "spectral-s6": "70c0a029871a11a085b9bb8621dff7792ffd1e7dea5ab316640ef2446f7d621b",
+    "spectral-s7": "491cf252909a3af4261b05ef9da45dae310bb1ae8e4ba20666df0de60feae739",
+    "spectral-s8": "091a43eaa828e36db21311eca72332e7efbb3892861032981503747ac8ff6b58",
+    "spectral-s9": "dc3266def193f5c41bca6932a389f828f6a0ceddd584ba86327fc91bb308e486",
+}
+
+CASES = {
+    **{f"feasibility-{a}-{s}": (_feasibility, a, s) for a in _ALGEBRAS for s in (1, 2)},
+    **{f"scalar-{a}-{s}": (_scalar_private, a, s) for a in _ALGEBRAS for s in (3, 4)},
+    **{f"covering-s2-{s}": (_covering, s) for s in (0, 5, 6)},
+    **{f"spectral-s{r}": (_spectral, r) for r in range(1, 11)},
+    **{f"expm-{a}": (_mixed_expm, a) for a in ("s3", "r2+s3+q4", "s2+s5", "q3+r3", "r4")},
+    **{f"cone-step-{a}": (_cone_iterates, a) for a in ("s3", "r2+s3+q4", "s8")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_hash(name):
+    fn, *args = CASES[name]
+    assert fn(*args) == GOLDEN[name]
