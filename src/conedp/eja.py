@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -370,13 +370,26 @@ def inner(x: EjaElement, y: EjaElement) -> float:
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
+_JACOBI_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    iu, ju = np.triu_indices(a.shape[0], k=1)
-    upper = a[iu, ju]
-    lower = a[ju, iu]
-    return math.sqrt(float(upper @ upper + lower @ lower))
+def _jacobi_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Off-diagonal (p, q) pairs with p < q in row-major order."""
+    if n not in _JACOBI_PAIRS:
+        _JACOBI_PAIRS[n] = tuple((p, q) for p in range(n - 1) for q in range(p + 1, n))
+    return _JACOBI_PAIRS[n]
+
+
+def _offdiag_norm(rows: list[list[float]], pairs: tuple[tuple[int, int], ...]) -> float:
+    upper = 0.0
+    for p, q in pairs:
+        x = rows[p][q]
+        upper += x * x
+    lower = 0.0
+    for p, q in pairs:
+        x = rows[q][p]
+        lower += x * x
+    return math.sqrt(upper + lower)
 
 
 def _jacobi_eigh(
@@ -390,53 +403,68 @@ def _jacobi_eigh(
     Sweeps rotate every off-diagonal pair in a fixed row-major order until
     the off-diagonal Frobenius norm falls below ``tol`` (relative to the
     matrix scale).  Deterministic: no pivot search, no randomness.
+
+    The sweeps run on Python float lists: each rotation updates columns p
+    and q, then rows p and q, zeroes a[p][q] and a[q][p], then rotates the
+    eigenvector columns, one IEEE multiply and add per entry.  That is the
+    arithmetic of the earlier numpy slice loop, so eigenvalues and vectors
+    are bit-identical to it (``tests/test_golden.py`` pins them).  The one
+    sum that differs is the convergence test's off-diagonal norm, summed
+    sequentially here where the numpy loop used a BLAS dot; a last-bit
+    difference there could only change the sweep count if the norm landed
+    within an ulp of the threshold.
     """
     a = np.array(mat, dtype=float)
     n = a.shape[0]
-    v = np.eye(n) if vectors else None
     if n == 1:
-        return a[0, :1].copy(), v
+        return a[0, :1].copy(), np.eye(1) if vectors else None
     thresh = tol * max(1.0, float(np.linalg.norm(a)))
-    off = _offdiag_norm(a)
+    rows = a.tolist()
+    # eigenvector columns, stored as rows so each rotation is two list builds
+    vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
+    pairs = _jacobi_pairs(n)
+    off = _offdiag_norm(rows, pairs)
     sweeps = 0
     while off > thresh:
         if sweeps >= max_sweeps:
             raise JacobiConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta**2 would overflow; use the limit
-                    t = 0.5 / theta
-                else:
-                    sign = 1.0 if theta >= 0.0 else -1.0
-                    t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
+        for p, q in pairs:
+            row_p = rows[p]
+            row_q = rows[q]
+            apq = row_p[q]
+            if apq == 0.0:
+                continue
+            theta = (row_q[q] - row_p[p]) / (2.0 * apq)
+            if abs(theta) > 1e150:  # theta**2 would overflow; use the limit
+                t = 0.5 / theta
+            else:
+                sign = 1.0 if theta >= 0.0 else -1.0
+                t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            for row in rows:
+                x = row[p]
+                y = row[q]
+                row[p] = c * x - s * y
+                row[q] = s * x + c * y
+            new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
+            new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
+            new_p[q] = 0.0
+            new_q[p] = 0.0
+            rows[p] = new_p
+            rows[q] = new_q
+            if vt is not None:
+                vp = vt[p]
+                vq = vt[q]
+                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
         sweeps += 1
-        off = _offdiag_norm(a)
-    vals = np.diag(a).copy()
+        off = _offdiag_norm(rows, pairs)
+    vals = np.array([rows[i][i] for i in range(n)])
     order = np.argsort(-vals, kind="stable")
-    if vectors:
-        return vals[order], v[:, order]
-    return vals[order], None
+    if vt is None:
+        return vals[order], None
+    return vals[order], np.array(vt).T[:, order]
 
 
 def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
@@ -457,6 +485,38 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     return vals[np.argsort(-vals, kind="stable")]
 
 
+def _spectral_entries(x: EjaElement) -> list[tuple[float, int, np.ndarray]]:
+    """(eigenvalue, factor index, idempotent block) sorted descending.
+
+    The block is the frame element's coefficients within its own factor;
+    ties keep factor order (the sort is stable).
+    """
+    entries: list[tuple[float, int, np.ndarray]] = []
+    for idx, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
+        if isinstance(f, RealVector):
+            for i in range(f.k):
+                basis = np.zeros(f.k)
+                basis[i] = 1.0
+                entries.append((float(b[i]), idx, basis))
+        elif isinstance(f, SymMatrix):
+            vals, vecs = _jacobi_eigh(b)
+            for i in range(f.r):
+                u = vecs[:, i]
+                entries.append((float(vals[i]), idx, np.outer(u, u)))
+        else:
+            radius = float(np.linalg.norm(b[1:]))
+            if radius > 0.0:
+                direction = b[1:] / radius
+            else:
+                direction = np.zeros(f.n - 1)
+                direction[0] = 1.0
+            for sgn in (1.0, -1.0):
+                q = 0.5 * np.concatenate(([1.0], sgn * direction))
+                entries.append((float(b[0] + sgn * radius), idx, q))
+    entries.sort(key=lambda e: -e[0])
+    return entries
+
+
 def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     """Eigenvalues and a Jordan frame with x = sum(lambda_i * q_i).
 
@@ -468,60 +528,35 @@ def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     combined spectrum is sorted descending with ties kept in factor order.
     """
     alg = x.algebra
-    entries: list[tuple[float, int, list[np.ndarray]]] = []
-
-    def frame_blocks(idx: int, block: np.ndarray) -> list[np.ndarray]:
-        out = [np.zeros(_block_shape(f)) for f in alg.factors]
-        out[idx] = block
-        return out
-
-    for idx, (f, b) in enumerate(zip(alg.factors, x.blocks)):
-        if isinstance(f, RealVector):
-            for i in range(f.k):
-                basis = np.zeros(f.k)
-                basis[i] = 1.0
-                entries.append((float(b[i]), idx, frame_blocks(idx, basis)))
-        elif isinstance(f, SymMatrix):
-            vals, vecs = _jacobi_eigh(b)
-            for i in range(f.r):
-                u = vecs[:, i]
-                entries.append((float(vals[i]), idx, frame_blocks(idx, np.outer(u, u))))
-        else:
-            radius = float(np.linalg.norm(b[1:]))
-            if radius > 0.0:
-                direction = b[1:] / radius
-            else:
-                direction = np.zeros(f.n - 1)
-                direction[0] = 1.0
-            for sgn in (1.0, -1.0):
-                q = 0.5 * np.concatenate(([1.0], sgn * direction))
-                entries.append((float(b[0] + sgn * radius), idx, frame_blocks(idx, q)))
-
-    order = sorted(range(len(entries)), key=lambda i: -entries[i][0])
-    vals = np.array([entries[i][0] for i in order])
-    frame = tuple(EjaElement(alg, entries[i][2]) for i in order)
-    return SpectralDecomposition(vals, frame)
+    entries = _spectral_entries(x)
+    frame = []
+    for _, idx, block in entries:
+        blocks = [np.zeros(_block_shape(f)) for f in alg.factors]
+        blocks[idx] = block
+        frame.append(EjaElement(alg, blocks))
+    return SpectralDecomposition(np.array([e[0] for e in entries]), tuple(frame))
 
 
-def _recombine(
-    alg: AlgebraDescriptor, values: Iterable[float], frame: Sequence[EjaElement]
+def _spectral_apply(
+    x: EjaElement, weights_of: Callable[[np.ndarray], np.ndarray]
 ) -> EjaElement:
-    blocks = [np.zeros(_block_shape(f)) for f in alg.factors]
-    for v, q in zip(values, frame):
-        for acc, qb in zip(blocks, q.blocks):
-            acc += v * qb
-    return EjaElement(alg, blocks)
+    """sum w_i q_i with w = weights_of(descending spectrum), no frame built.
 
-
-def spectral_map(x: EjaElement, fn: Callable[[np.ndarray], np.ndarray]) -> EjaElement:
-    """Apply a scalar function to the spectrum: sum fn(lambda_i) q_i."""
-    d = spectral_decompose(x)
-    return _recombine(x.algebra, fn(d.eigenvalues), d.frame)
+    Each w_i q_i is added into its own factor's block only, as sequential
+    rank-one updates in descending eigenvalue order, so the sums match a
+    recombination over the full frame bit for bit.
+    """
+    entries = _spectral_entries(x)
+    weights = weights_of(np.array([e[0] for e in entries]))
+    blocks = [np.zeros(_block_shape(f)) for f in x.algebra.factors]
+    for w, (_, idx, block) in zip(weights, entries):
+        blocks[idx] += w * block
+    return EjaElement(x.algebra, blocks)
 
 
 def expm(x: EjaElement) -> EjaElement:
     """Spectral exponential, sum exp(lambda_i) q_i."""
-    return spectral_map(x, np.exp)
+    return _spectral_apply(x, np.exp)
 
 
 # ---------------------------------------------------------------------------

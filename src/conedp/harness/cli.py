@@ -30,6 +30,14 @@ from conedp.solvers import SolverConfig
 click.UsageError.exit_code = 1
 
 
+def _load(path):
+    """Read an instance file; a malformed file is a clean exit-1 error."""
+    try:
+        return load_instance(path)
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
+
+
 @click.group()
 def main():
     """Private symmetric-cone-program toolkit."""
@@ -73,7 +81,7 @@ def gen(kind, alg, rank, m, seed, margin, analytic, out):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 def solve(instance_path, solver, eps, delta, alpha, beta, density, dinf, seed, opt, csv_path):
     """Run one solver on one instance with one seed."""
-    instance, metadata = load_instance(instance_path)
+    instance, metadata = _load(instance_path)
     if solver == "covering-hs" and opt is None:
         opt = metadata.get("planted_opt")
         if opt is None:
@@ -84,7 +92,6 @@ def solve(instance_path, solver, eps, delta, alpha, beta, density, dinf, seed, o
         budget=PrivacyBudget(eps, delta),
         density=density,
         sensitivity=Sensitivity(dinf, "linf"),
-        seed=seed,
     )
     records = run_experiment(instance, solver, config, [seed], opt=opt)
     record = records[0]
@@ -129,7 +136,7 @@ def audit(mech, eps, delta, trials, seed, negative_control):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), required=True)
 def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, dinf, opt, csv_path):
     """Sweep epsilon values and seeds, appending timed rows to a CSV."""
-    instance, metadata = load_instance(instance_path)
+    instance, metadata = _load(instance_path)
     if solver == "covering-hs" and opt is None:
         opt = metadata.get("planted_opt")
     any_flags = False

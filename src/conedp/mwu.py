@@ -24,7 +24,7 @@ from conedp.eja import (
     norm,
     spectral_decompose,
     zero,
-    _recombine,
+    _spectral_apply,
 )
 
 __all__ = [
@@ -79,11 +79,13 @@ def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
         if not np.all(np.isfinite(b)):
             raise ValueError("loss element contains non-finite values")
     cumulative = state.cumulative_loss + loss
-    d = spectral_decompose(-state.eta * cumulative)
-    shifted = d.eigenvalues - d.eigenvalues[0]
-    weights = np.exp(shifted)
-    weights /= weights.sum()  # frame elements have unit trace
-    iterate = _recombine(state.algebra, weights, d.frame)
+
+    def normalized_exp(vals: np.ndarray) -> np.ndarray:
+        weights = np.exp(vals - vals[0])
+        weights /= weights.sum()  # frame elements have unit trace
+        return weights
+
+    iterate = _spectral_apply(-state.eta * cumulative, normalized_exp)
     return ConeMwuState(state.algebra, state.eta, cumulative, iterate)
 
 

@@ -48,12 +48,18 @@ _MAX_NET_POINTS = 2_000_000
 _SENSES = ("LE", "GE")
 
 
+def _all_finite(elements) -> bool:
+    flat = np.concatenate([b.ravel() for x in elements for b in x.blocks])
+    return bool(np.isfinite(flat).all())
+
+
 @dataclass(frozen=True)
 class ScpInstance:
     """A symmetric cone program: constraints, scalars, objective, senses.
 
     Constraints read <a_i, x> <= b_i for sense "LE" and >= for "GE".  All
-    elements must live over the same algebra.
+    elements must live over the same algebra, and every scalar and
+    coefficient must be finite; construction raises ValueError otherwise.
     """
 
     algebra: AlgebraDescriptor
@@ -79,6 +85,15 @@ class ScpInstance:
             raise ValueError(
                 f"scalar shape {b.shape} does not match {len(constraints)} constraints"
             )
+        if not np.isfinite(b).all():
+            raise ValueError("scalars contain non-finite values (NaN or inf)")
+        if not _all_finite(constraints):
+            row = next(i for i, a in enumerate(constraints) if not _all_finite((a,)))
+            raise ValueError(
+                f"constraints contain non-finite values (NaN or inf), first in row {row}"
+            )
+        if not _all_finite((self.objective,)):
+            raise ValueError("objective contains non-finite values (NaN or inf)")
         b.setflags(write=False)
         senses = tuple(self.senses)
         if len(senses) == 1 and len(constraints) > 1:

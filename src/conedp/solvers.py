@@ -97,7 +97,6 @@ class SolverConfig:
     budget: PrivacyBudget
     density: int = 1
     sensitivity: Sensitivity = Sensitivity(0.0, "linf")
-    seed: int = 0
     collect_trace: bool = False
 
     def __post_init__(self):

@@ -190,6 +190,70 @@ class TestSpectral:
         assert first.blocks[0][0] == 1.0  # first real coordinate
 
 
+def _jacobi_edge_matrices():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4))
+    generic = g + g.T
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return {
+        "n1": np.array([[3.5]]),
+        "diagonal": np.diag([3.0, -1.0, 2.0]),
+        # block diagonal: the zero entries stay exactly zero, so every sweep
+        # takes the apq == 0 skip on them
+        "exact-zero-offdiag": np.array(
+            [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+             [0.0, 0.0, 5.0, 1.0], [0.0, 0.0, 1.0, 5.0]]
+        ),
+        # pair (0, 1) has theta = 1 / 2e-200, past the 1e150 overflow guard,
+        # while the (1, 2) entry keeps the sweep loop running
+        "huge-theta": np.array([[0.0, 1e-200, 0.0], [1e-200, 1.0, 1.0], [0.0, 1.0, 2.0]]),
+        "repeated": q @ np.diag([2.0, 2.0, -1.0, -1.0]) @ q.T,
+        "all-ones": np.ones((4, 4)),
+        "zero": np.zeros((3, 3)),
+        "scaled-up": 1e150 * generic,
+        "scaled-down": 1e-150 * generic,
+    }
+
+
+class TestJacobiEdgeCases:
+    @pytest.mark.parametrize("name", sorted(_jacobi_edge_matrices()))
+    def test_matches_lapack_and_reconstructs(self, name):
+        mat = _jacobi_edge_matrices()[name]
+        vals, vecs = _jacobi_eigh(mat)
+        values_only, none = _jacobi_eigh(mat, vectors=False)
+        assert none is None
+        assert np.array_equal(values_only, vals)
+        assert np.all(np.diff(vals) <= 0.0)
+        # the convergence threshold is absolute below unit scale
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(mat)))
+        assert np.allclose(vals, np.linalg.eigvalsh(mat)[::-1], rtol=0.0, atol=tol)
+        assert np.allclose(vecs.T @ vecs, np.eye(len(mat)), rtol=0.0, atol=1e-12)
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, mat, rtol=0.0, atol=tol)
+
+    def test_no_rotation_cases_are_exact(self):
+        mats = _jacobi_edge_matrices()
+        vals, vecs = _jacobi_eigh(mats["n1"])
+        assert vals.tolist() == [3.5] and vecs.tolist() == [[1.0]]
+        vals, vecs = _jacobi_eigh(mats["diagonal"])
+        assert vals.tolist() == [3.0, 2.0, -1.0]
+        assert vecs.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        vals, vecs = _jacobi_eigh(mats["zero"])
+        assert vals.tolist() == [0.0, 0.0, 0.0]
+        assert np.array_equal(vecs, np.eye(3))
+
+    def test_exact_zero_blocks_stay_separate(self):
+        vals, vecs = _jacobi_eigh(_jacobi_edge_matrices()["exact-zero-offdiag"])
+        assert np.allclose(vals, [6.0, 4.0, 3.0, -1.0], rtol=0.0, atol=1e-14)
+        # eigenvectors of one 2x2 block have exact zeros in the other block
+        assert np.all(vecs[:2, :2] == 0.0) and np.all(vecs[2:, 2:] == 0.0)
+
+    def test_sweep_limit_still_raises(self):
+        mat = _jacobi_edge_matrices()["scaled-up"]
+        with pytest.raises(JacobiConvergenceError) as err:
+            _jacobi_eigh(mat, max_sweeps=1)
+        assert err.value.sweeps == 1 and err.value.residual > 0.0
+
+
 class TestExp:
     def test_exp_zero_is_identity(self):
         for alg in FACTOR_ALGEBRAS.values():

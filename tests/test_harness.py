@@ -67,6 +67,24 @@ class TestInstanceIO:
         with pytest.raises(ValueError):
             instance_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "field, name", [("b", "scalars"), ("constraints", "constraints"), ("c", "objective")]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, tmp_path, field, name, bad):
+        inst, meta = generate_feasible_scp(MIXED, 3, 0.0, seed=1)
+        payload = instance_to_dict(inst, meta)
+        if field == "b":
+            payload["b"][1] = bad
+        elif field == "constraints":
+            payload["constraints"][2][1][0] = bad
+        else:
+            payload["c"][0][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))  # json writes NaN and Infinity
+        with pytest.raises(ValueError, match=name):
+            load_instance(path)
+
     def test_file_is_json_with_spec_string(self, tmp_path):
         inst, meta = generate_feasible_scp(MIXED, 2, 0.0, seed=1)
         path = tmp_path / "i.json"
@@ -257,6 +275,27 @@ class TestCli:
              "--seed", "0"],
         )
         assert result.exit_code == 2  # density below the theory floor
+
+    def test_non_finite_instance_is_exit_one(self, tmp_path):
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        payload = json.loads(inst_path.read_text())
+        payload["b"][0] = math.nan
+        inst_path.write_text(json.dumps(payload))
+        for solver in ("nonprivate", "scalar"):
+            result = runner.invoke(
+                cli_main,
+                ["solve", "--instance", str(inst_path), "--solver", solver,
+                 "--alpha", "0.5", "--dinf", "0.05"],
+            )
+            assert result.exit_code == 1
+            assert "scalars contain non-finite values" in result.output
 
     def test_usage_error_is_exit_one(self):
         runner = CliRunner()
