@@ -11,6 +11,7 @@ function, so elements can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -370,14 +371,6 @@ def inner(x: EjaElement, y: EjaElement) -> float:
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
-_JACOBI_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def _jacobi_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Off-diagonal (p, q) pairs with p < q in row-major order."""
-    if n not in _JACOBI_PAIRS:
-        _JACOBI_PAIRS[n] = tuple((p, q) for p in range(n - 1) for q in range(p + 1, n))
-    return _JACOBI_PAIRS[n]
 
 
 def _offdiag_norm(rows: list[list[float]], pairs: tuple[tuple[int, int], ...]) -> float:
@@ -408,7 +401,8 @@ def _jacobi_eigh(
     and q, then rows p and q, zeroes a[p][q] and a[q][p], then rotates the
     eigenvector columns, one IEEE multiply and add per entry.  That is the
     arithmetic of the earlier numpy slice loop, so eigenvalues and vectors
-    are bit-identical to it (``tests/test_golden.py`` pins them).  The one
+    are bit-identical to it (``tests/test_golden.py`` pins them, and
+    ``tests/test_eja.py`` compares against that loop).  The one
     sum that differs is the convergence test's off-diagonal norm, summed
     sequentially here where the numpy loop used a BLAS dot; a last-bit
     difference there could only change the sweep count if the norm landed
@@ -422,7 +416,7 @@ def _jacobi_eigh(
     rows = a.tolist()
     # eigenvector columns, stored as rows so each rotation is two list builds
     vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
-    pairs = _jacobi_pairs(n)
+    pairs = tuple(itertools.combinations(range(n), 2))  # (p, q), p < q, row-major
     off = _offdiag_norm(rows, pairs)
     sweeps = 0
     while off > thresh:
@@ -543,8 +537,10 @@ def _spectral_apply(
     """sum w_i q_i with w = weights_of(descending spectrum), no frame built.
 
     Each w_i q_i is added into its own factor's block only, as sequential
-    rank-one updates in descending eigenvalue order, so the sums match a
-    recombination over the full frame bit for bit.
+    rank-one updates in descending eigenvalue order.  For finite weights
+    the sums match a recombination over the full frame bit for bit: the
+    skipped terms are the frame's zero blocks, and adding w * 0.0 changes
+    nothing.
     """
     entries = _spectral_entries(x)
     weights = weights_of(np.array([e[0] for e in entries]))

@@ -64,6 +64,13 @@ def cone_mwu_init(alg: AlgebraDescriptor, eta: float) -> ConeMwuState:
     return ConeMwuState(alg, float(eta), zero(alg), identity(alg) / alg.rank)
 
 
+def _normalized_exp(vals: np.ndarray) -> np.ndarray:
+    """exp of a descending spectrum shifted by its maximum, summing to one."""
+    weights = np.exp(vals - vals[0])
+    weights /= weights.sum()  # frame elements have unit trace
+    return weights
+
+
 def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
     """Fold in one loss and recompute the normalized exponential iterate.
 
@@ -79,13 +86,7 @@ def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
         if not np.all(np.isfinite(b)):
             raise ValueError("loss element contains non-finite values")
     cumulative = state.cumulative_loss + loss
-
-    def normalized_exp(vals: np.ndarray) -> np.ndarray:
-        weights = np.exp(vals - vals[0])
-        weights /= weights.sum()  # frame elements have unit trace
-        return weights
-
-    iterate = _spectral_apply(-state.eta * cumulative, normalized_exp)
+    iterate = _spectral_apply(-state.eta * cumulative, _normalized_exp)
     return ConeMwuState(state.algebra, state.eta, cumulative, iterate)
 
 

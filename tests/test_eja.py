@@ -254,6 +254,85 @@ class TestJacobiEdgeCases:
         assert err.value.sweeps == 1 and err.value.residual > 0.0
 
 
+def _numpy_jacobi_reference(mat, tol=1e-12, max_sweeps=30):
+    """The cyclic Jacobi loop on numpy slices that ``_jacobi_eigh`` replaced."""
+    a = np.array(mat, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a[0, :1].copy(), v
+    iu, ju = np.triu_indices(n, k=1)
+
+    def off_norm():
+        upper, lower = a[iu, ju], a[ju, iu]
+        return math.sqrt(float(upper @ upper + lower @ lower))
+
+    thresh = tol * max(1.0, float(np.linalg.norm(a)))
+    off = off_norm()
+    sweeps = 0
+    while off > thresh:
+        assert sweeps < max_sweeps
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    t = 0.5 / theta
+                else:
+                    sign = 1.0 if theta >= 0.0 else -1.0
+                    t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+        sweeps += 1
+        off = off_norm()
+    vals = np.diag(a).copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], v[:, order]
+
+
+class TestBitIdentityReferences:
+    def test_jacobi_matches_numpy_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        mats = list(_jacobi_edge_matrices().values())
+        for r in range(2, 11):
+            for scale in (1e-3, 1.0, 1e4):
+                g = scale * rng.standard_normal((r, r))
+                mats.append(g + g.T)
+        for mat in mats:
+            vals, vecs = _jacobi_eigh(mat)
+            ref_vals, ref_vecs = _numpy_jacobi_reference(mat)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(vecs, ref_vecs)
+
+    @pytest.mark.parametrize("spec", ["r3", "s4", "q5", "r2+s3+q4", "s2+s5"])
+    def test_expm_matches_frame_recombination_bit_for_bit(self, spec, rng):
+        alg = AlgebraDescriptor.from_spec(spec)
+        for scale in (0.1, 1.0, 20.0):
+            x = random_element(alg, rng, scale)
+            d = spectral_decompose(x)
+            blocks = [np.zeros_like(b) for b in zero(alg).blocks]
+            for w, q in zip(np.exp(d.eigenvalues), d.frame):
+                for acc, qb in zip(blocks, q.blocks):
+                    acc += w * qb
+            ref = EjaElement(alg, blocks)
+            got = expm(x)
+            for a, b in zip(got.blocks, ref.blocks):
+                assert np.array_equal(a, b)
+
+
 class TestExp:
     def test_exp_zero_is_identity(self):
         for alg in FACTOR_ALGEBRAS.values():
