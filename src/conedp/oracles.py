@@ -48,11 +48,6 @@ _MAX_NET_POINTS = 2_000_000
 _SENSES = ("LE", "GE")
 
 
-def _all_finite(elements) -> bool:
-    flat = np.concatenate([b.ravel() for x in elements for b in x.blocks])
-    return bool(np.isfinite(flat).all())
-
-
 @dataclass(frozen=True)
 class ScpInstance:
     """A symmetric cone program: constraints, scalars, objective, senses.
@@ -87,12 +82,7 @@ class ScpInstance:
             )
         if not np.isfinite(b).all():
             raise ValueError("scalars contain non-finite values (NaN or inf)")
-        if not _all_finite(constraints):
-            row = next(i for i, a in enumerate(constraints) if not _all_finite((a,)))
-            raise ValueError(
-                f"constraints contain non-finite values (NaN or inf), first in row {row}"
-            )
-        if not _all_finite((self.objective,)):
+        if not np.isfinite(to_coords(self.objective)).all():
             raise ValueError("objective contains non-finite values (NaN or inf)")
         b.setflags(write=False)
         senses = tuple(self.senses)
@@ -106,6 +96,14 @@ class ScpInstance:
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "scalars", b)
         object.__setattr__(self, "senses", senses)
+        # coordinates carry every block entry (symmetrization keeps NaN/inf),
+        # and the solvers need them anyway
+        bad_rows = np.flatnonzero(~np.isfinite(self.constraint_coords).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(
+                "constraints contain non-finite values (NaN or inf), "
+                f"first in row {bad_rows[0]}"
+            )
 
     @property
     def num_constraints(self) -> int:
