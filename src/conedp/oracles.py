@@ -82,7 +82,16 @@ class ScpInstance:
             )
         if not np.isfinite(b).all():
             raise ValueError("scalars contain non-finite values (NaN or inf)")
-        if not np.isfinite(to_coords(self.objective)).all():
+        finite_rows = np.ones(len(constraints), dtype=bool)
+        for j in range(len(self.algebra.factors)):
+            stacked = np.stack([a.blocks[j] for a in constraints])
+            finite_rows &= np.isfinite(stacked.reshape(len(constraints), -1)).all(axis=1)
+        if not finite_rows.all():
+            raise ValueError(
+                "constraints contain non-finite values (NaN or inf), "
+                f"first in row {int(np.argmin(finite_rows))}"
+            )
+        if not all(np.isfinite(blk).all() for blk in self.objective.blocks):
             raise ValueError("objective contains non-finite values (NaN or inf)")
         b.setflags(write=False)
         senses = tuple(self.senses)
@@ -96,14 +105,6 @@ class ScpInstance:
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "scalars", b)
         object.__setattr__(self, "senses", senses)
-        # coordinates carry every block entry (symmetrization keeps NaN/inf),
-        # and the solvers need them anyway
-        bad_rows = np.flatnonzero(~np.isfinite(self.constraint_coords).all(axis=1))
-        if bad_rows.size:
-            raise ValueError(
-                "constraints contain non-finite values (NaN or inf), "
-                f"first in row {bad_rows[0]}"
-            )
 
     @property
     def num_constraints(self) -> int:
