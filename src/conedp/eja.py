@@ -374,6 +374,7 @@ _JACOBI_MAX_SWEEPS = 30
 
 
 def _offdiag_norm(rows: list[list[float]], pairs: tuple[tuple[int, int], ...]) -> float:
+    # plain loops, not sum(): sum() compensates its rounding from Python 3.12 on
     upper = 0.0
     for p, q in pairs:
         x = rows[p][q]
