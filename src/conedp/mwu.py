@@ -135,7 +135,10 @@ class ProjectionInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class DenseMeasure:
-    """A measure on m actions with every weight in [0, 1]."""
+    """A measure on m actions with every weight in [0, 1].
+
+    NaN weights are rejected along with out-of-range ones.
+    """
 
     weights: np.ndarray
 
@@ -143,7 +146,7 @@ class DenseMeasure:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
-        if np.any(w < 0.0) or np.any(w > 1.0):
+        if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails both
             raise ValueError("weights must lie in [0, 1]")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -159,14 +162,17 @@ class DenseMeasure:
 
 @dataclass(frozen=True)
 class DenseDistribution:
-    """A probability vector with no entry above 1/density."""
+    """A probability vector with no entry above 1/density.
+
+    NaN entries are rejected as negative ones are.
+    """
 
     probabilities: np.ndarray
     density: int
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=float)
-        if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-10:
+        if not (p.min() >= 0.0) or abs(float(p.sum()) - 1.0) > 1e-10:
             raise ValueError("probabilities must be nonnegative and sum to one")
         if float(p.max()) > 1.0 / self.density + 1e-10:
             raise ValueError(f"entries must stay at or below 1/{self.density}")
@@ -193,6 +199,12 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     nondecreasing with breakpoints at c = 1/F_f, so the solve is a sort
     plus a linear step per segment; an expanding bisection handles the
     rare degenerate segment.
+
+    Every segment's candidate c_j = (s - j) / tail_j is computed at once and
+    the first segment whose window [1/F_(j-1) - 1e-12, 1/F_(j) + 1e-12]
+    holds its candidate wins.  Adjacent windows overlap by the slack, so the
+    first-fit rule (not a sorted search) decides between them; this is the
+    arithmetic and the choice of a walk over the segments in order.
     """
     if s < 1:
         raise ValueError(f"density parameter must be >= 1, got {s}")
@@ -208,18 +220,17 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
 
     desc = np.sort(positive)[::-1]
     tail = np.concatenate((np.cumsum(desc[::-1])[::-1], [0.0]))  # tail[j] = sum desc[j:]
+    # segment j: top j entries saturated at 1, the rest still linear in c
+    tails = tail[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (s - np.arange(desc.size)) / tails
+    upper = 1.0 / desc  # segment j ends where entry j saturates
+    lower = np.concatenate(([0.0], upper[:-1]))
+    stop = (tails <= 0.0) | ((lower - 1e-12 <= c) & (c <= upper + 1e-12))
+    j = int(stop.argmax())
     c_star = None
-    for j in range(desc.size):
-        # top j entries saturated at 1, the rest still linear in c
-        tail_mass = tail[j]
-        if tail_mass <= 0.0:
-            break
-        c = (s - j) / tail_mass
-        upper = 1.0 / desc[j]  # segment ends where entry j saturates
-        lower = 1.0 / desc[j - 1] if j > 0 else 0.0
-        if lower - 1e-12 <= c <= upper + 1e-12:
-            c_star = max(c, 0.0)
-            break
+    if stop[j] and tails[j] > 0.0:
+        c_star = max(c[j], 0.0)
     if c_star is None:
         lo, hi = 0.0, s / max(positive.sum(), 1e-300) + 1.0
         while _dense_mass(hi, w) < s:
@@ -241,12 +252,14 @@ def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:
     """Multiply each weight by exp(-eta * loss), without normalization.
 
     Weights are clamped at 1 to stay valid measures; with losses in [0, 1]
-    (the solver's affine rescaling) the clamp never engages.
+    (the solver's affine rescaling) the clamp never engages.  Losses must
+    be finite, and the result is checked as a :class:`DenseMeasure`, which
+    rejects NaN weights.
     """
     l = np.asarray(losses, dtype=float)
     if l.shape != measure.weights.shape:
         raise ValueError(f"loss shape {l.shape} does not match measure {measure.weights.shape}")
-    if not np.all(np.isfinite(l)):
+    if not np.isfinite(l).all():
         raise ValueError("losses must be finite")
     updated = measure.weights * np.exp(-eta * l)
     return DenseMeasure(np.minimum(1.0, updated))

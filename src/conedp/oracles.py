@@ -338,18 +338,18 @@ def covering_oracle_private(
     opt: float,
     s: int,
     rng: RandomSource,
-) -> EjaElement:
-    """Exponential-mechanism selection of an approximately minimizing point.
+) -> int:
+    """Net index of an approximately minimizing point, by exponential mechanism.
 
-    Scores are negated because the mechanism maximizes quality while the
-    oracle minimizes.  The caller guarantees the weight vector comes from
-    a 1/s-dense distribution, which bounds the score sensitivity by
+    The index addresses both ``net.points`` and the cached ``net.coords``
+    rows.  Scores are negated because the mechanism maximizes quality while
+    the oracle minimizes.  The caller guarantees the weight vector comes
+    from a 1/s-dense distribution, which bounds the score sensitivity by
     3*opt/s.
     """
     scores = _covering_scores(y, instance, net)
     sensitivity = covering_oracle_sensitivity(opt, s)
-    idx = exponential_mechanism(-scores, sensitivity, epsilon, rng)
-    return net.points[idx]
+    return exponential_mechanism(-scores, sensitivity, epsilon, rng)
 
 
 # ---------------------------------------------------------------------------

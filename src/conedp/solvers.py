@@ -496,11 +496,11 @@ def solve_covering_high_sensitivity(
     oracle_calls = 0
     for t in range(1, iterations + 1):
         projected = bregman_project(measure, s)
-        point = covering_oracle_private(
+        pick = covering_oracle_private(
             projected.probabilities, instance, net, step_epsilon, opt, s, rng
         )
         oracle_calls += 1
-        point_coords = to_coords(point)
+        point_coords = net.coords[pick]
         avg_coords += point_coords
         values = instance.constraint_coords @ point_coords
         raw = b - values

@@ -17,6 +17,7 @@ from conedp.eja import (
 )
 from conedp.mechanisms import RandomSource
 from conedp.mwu import (
+    DenseDistribution,
     DenseMeasure,
     ProjectionInfeasibleError,
     bregman_project,
@@ -222,6 +223,104 @@ class TestBregman:
                 assert diff <= 2.0 / s + 1e-9
 
 
+def _loop_bregman_reference(weights, s):
+    """The per-segment loop that ``bregman_project`` replaced, kept verbatim."""
+    w = DenseMeasure(weights).weights
+    positive = w[w > 0.0]
+    if positive.size < s:
+        raise ProjectionInfeasibleError(
+            f"projection needs at least {s} positive weights, found {positive.size}"
+        )
+    if positive.size == s:
+        probs = np.where(w > 0.0, 1.0 / s, 0.0)
+        return DenseDistribution(probs, s)
+
+    desc = np.sort(positive)[::-1]
+    tail = np.concatenate((np.cumsum(desc[::-1])[::-1], [0.0]))  # tail[j] = sum desc[j:]
+    c_star = None
+    for j in range(desc.size):
+        # top j entries saturated at 1, the rest still linear in c
+        tail_mass = tail[j]
+        if tail_mass <= 0.0:
+            break
+        c = (s - j) / tail_mass
+        upper = 1.0 / desc[j]  # segment ends where entry j saturates
+        lower = 1.0 / desc[j - 1] if j > 0 else 0.0
+        if lower - 1e-12 <= c <= upper + 1e-12:
+            c_star = max(c, 0.0)
+            break
+    if c_star is None:
+        mass = lambda c: float(np.minimum(1.0, c * w).sum())  # noqa: E731
+        lo, hi = 0.0, s / max(positive.sum(), 1e-300) + 1.0
+        while mass(hi) < s:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mass(mid) < s:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12 * max(1.0, hi):
+                break
+        c_star = hi
+    probs = np.minimum(1.0, c_star * w) / s
+    return DenseDistribution(probs, s)
+
+
+def _reference_measures(gen, m):
+    """Random weights in [0, 1] with ties, exact zeros and tiny entries mixed in."""
+    for ties, zeros, tiny in itertools.product((False, True), repeat=3):
+        w = gen.uniform(0.0, 1.0, m)
+        if ties:  # breakpoints shared by many entries; adjacent windows overlap
+            w = np.ceil(w * 10.0) / 10.0
+        if zeros:
+            w[gen.random(m) < 0.3] = 0.0
+        if tiny:  # weights down to e^-40, as after many dense updates
+            pick = gen.random(m) < 0.5
+            w[pick] = np.exp(-40.0 * gen.random(int(pick.sum())))
+        yield w
+    yield np.full(m, 1.0 / m)
+    yield np.ones(m)
+
+
+def _outcome(project, weights, s):
+    try:
+        return project(weights, s).probabilities
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestBregmanLoopReference:
+    @pytest.mark.parametrize("m", [2, 64, 4096])
+    def test_bit_identical_to_loop(self, m):
+        gen = np.random.default_rng(m)
+        project = lambda w, s: bregman_project(DenseMeasure(w), s)  # noqa: E731
+        raised = 0
+        for w in _reference_measures(gen, m):
+            count = int((w > 0.0).sum())
+            if m <= 64:
+                densities = range(1, count + 2)
+            else:
+                densities = {1, 2, count // 2, count - 1, count, count + 1}
+                densities |= set(gen.integers(1, count + 1, 8).tolist())
+            for s in sorted(d for d in densities if d >= 1):
+                want = _outcome(_loop_bregman_reference, w, s)
+                got = _outcome(project, w, s)
+                if isinstance(want, tuple):
+                    raised += 1
+                    assert got == want
+                else:
+                    assert got.tobytes() == want.tobytes(), (m, s)
+        assert raised >= 1  # s one past the positive count is always infeasible
+
+    def test_infeasible_cases_agree(self):
+        for w, s in (([1.0, 0.0, 0.0], 2), ([0.0, 0.0], 1), ([0.5], 2)):
+            with pytest.raises(ProjectionInfeasibleError):
+                _loop_bregman_reference(np.array(w), s)
+            with pytest.raises(ProjectionInfeasibleError):
+                bregman_project(DenseMeasure(np.array(w)), s)
+
+
 class TestDenseStep:
     def test_zero_loss(self):
         f = DenseMeasure(np.array([0.3, 0.7]))
@@ -238,6 +337,14 @@ class TestDenseStep:
     def test_negative_loss_clamps_at_one(self):
         out = dense_mwu_step(DenseMeasure(np.array([0.9])), np.array([-10.0]), 1.0)
         assert out.weights[0] == 1.0
+
+    def test_nan_weights_rejected(self):
+        # a NaN weight passes elementwise range tests; min/max checks reject it
+        for bad in ([0.5, math.nan], [math.nan]):
+            with pytest.raises(ValueError, match="weights must lie in"):
+                DenseMeasure(np.array(bad))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DenseDistribution(np.array([0.5, 0.5, math.nan]), 1)
 
     def test_point_mass_projection(self):
         dist = bregman_project(uniform_measure(1), 1)

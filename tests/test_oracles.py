@@ -165,22 +165,21 @@ class TestCoveringOracle:
         hits = 0
         trials = 2000
         for _ in range(trials):
-            p = covering_oracle_private(
+            i = covering_oracle_private(
                 np.array([1.0]), inst, self.net, 1e6, 1.0, 1, rng
             )
-            hits += int(np.array_equal(to_coords(p), to_coords(exact)))
+            hits += int(np.array_equal(to_coords(self.net.points[i]), to_coords(exact)))
         assert hits / trials >= 0.999
 
     def test_private_uniform_scores_uniform_sampling(self):
         rng = RandomSource(6)
         inst = covering_instance([zero(S2)], S2)
         n = len(self.net)
-        index_of = {id(q): i for i, q in enumerate(self.net.points)}
         counts = np.zeros(n)
         trials = 20_000
         for _ in range(trials):
-            p = covering_oracle_private(np.array([1.0]), inst, self.net, 1.0, 1.0, 1, rng)
-            counts[index_of[id(p)]] += 1
+            i = covering_oracle_private(np.array([1.0]), inst, self.net, 1.0, 1.0, 1, rng)
+            counts[i] += 1
         assert np.all(np.abs(counts / trials - 1.0 / n) <= 5.0 / math.sqrt(trials))
 
     def test_neighbor_audit_on_oracle_scores(self):
@@ -247,7 +246,7 @@ class TestCoveringOracle:
         trials = 4000
         failures = 0
         for _ in range(trials):
-            p = covering_oracle_private(y, inst, self.net, eps, opt, s, rng)
+            p = self.net.points[covering_oracle_private(y, inst, self.net, eps, opt, s, rng)]
             failures += int(inner(a1, p) * 0.5 + inner(a2, p) * 0.5 > exact_min + bound)
         se = math.sqrt(beta * (1 - beta) / trials)
         assert failures / trials <= beta + 3 * se
