@@ -78,10 +78,16 @@ def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = No
     }
 
 
+_REQUIRED_FIELDS = ("algebra", "constraints", "b", "c", "sense")
+
+
 def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
+    missing = [f for f in _REQUIRED_FIELDS if f not in data]
+    if missing:
+        raise ValueError(f"instance is missing field(s): {', '.join(missing)}")
     alg = AlgebraDescriptor.from_spec(data["algebra"])
     constraints = tuple(unpack_element(alg, p) for p in data["constraints"])
     objective = unpack_element(alg, data["c"])

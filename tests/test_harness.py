@@ -67,6 +67,16 @@ class TestInstanceIO:
         with pytest.raises(ValueError):
             instance_from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["algebra", "constraints", "b", "c", "sense"])
+    def test_missing_field_is_named(self, tmp_path, field):
+        inst, meta = generate_feasible_scp(MIXED, 2, 0.0, seed=1)
+        payload = instance_to_dict(inst, meta)
+        del payload[field]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"missing field\\(s\\): {field}$"):
+            load_instance(path)
+
     @pytest.mark.parametrize(
         "field, message",
         [("b", "scalars"), ("constraints", "constraints .* row 2"), ("c", "objective")],
@@ -297,6 +307,27 @@ class TestCli:
             )
             assert result.exit_code == 1
             assert "scalars contain non-finite values" in result.output
+
+    def test_missing_field_is_exit_one(self, tmp_path):
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        payload = json.loads(inst_path.read_text())
+        del payload["b"]
+        inst_path.write_text(json.dumps(payload))
+        result = runner.invoke(
+            cli_main,
+            ["solve", "--instance", str(inst_path), "--solver", "nonprivate",
+             "--alpha", "0.5"],
+        )
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, KeyError)
+        assert "Error:" in result.output and "missing field(s): b" in result.output
 
     def test_usage_error_is_exit_one(self):
         runner = CliRunner()
