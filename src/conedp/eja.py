@@ -408,12 +408,22 @@ def _jacobi_eigh(
     sequentially here where the numpy loop used a BLAS dot; a last-bit
     difference there could only change the sweep count if the norm landed
     within an ulp of the threshold.
+
+    When the Frobenius norm of a finite matrix overflows, the threshold
+    would be infinite and no sweep would run.  Only then, the same sweeps
+    run on the matrix scaled by an exact power of two, and the eigenvalues
+    are scaled back.
     """
     a = np.array(mat, dtype=float)
     n = a.shape[0]
     if n == 1:
         return a[0, :1].copy(), np.eye(1) if vectors else None
-    thresh = tol * max(1.0, float(np.linalg.norm(a)))
+    scale = float(np.linalg.norm(a))
+    if math.isinf(scale) and np.isfinite(a).all():
+        exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
+        vals, vecs = _jacobi_eigh(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
+        return np.ldexp(vals, exponent), vecs
+    thresh = tol * max(1.0, scale)
     rows = a.tolist()
     # eigenvector columns, stored as rows so each rotation is two list builds
     vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None

@@ -247,6 +247,21 @@ class TestJacobiEdgeCases:
         # eigenvectors of one 2x2 block have exact zeros in the other block
         assert np.all(vecs[:2, :2] == 0.0) and np.all(vecs[2:, 2:] == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_still_rotates(self):
+        # the Frobenius norm of this matrix overflows to inf, which used to
+        # leave the threshold infinite and the diagonal unrotated
+        g = np.random.default_rng(7).standard_normal((3, 3))
+        mat = 1e160 * (g + g.T)
+        assert np.isinf(np.linalg.norm(mat))
+        want = np.linalg.eigvalsh(mat)[::-1]
+        for vectors in (False, True):
+            vals, vecs = _jacobi_eigh(mat, vectors=vectors)
+            assert np.allclose(vals, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+        assert np.allclose(vecs.T @ vecs, np.eye(3), rtol=0.0, atol=1e-12)
+        recon = vecs @ np.diag(vals) @ vecs.T
+        assert np.allclose(recon, mat, rtol=0.0, atol=1e-10 * np.abs(mat).max())
+
     def test_sweep_limit_still_raises(self):
         mat = _jacobi_edge_matrices()["scaled-up"]
         with pytest.raises(JacobiConvergenceError) as err:
