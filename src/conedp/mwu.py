@@ -221,12 +221,14 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     desc = np.sort(positive)[::-1]
     tail = np.concatenate((np.cumsum(desc[::-1])[::-1], [0.0]))  # tail[j] = sum desc[j:]
     # segment j: top j entries saturated at 1, the rest still linear in c
-    tails = tail[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (s - np.arange(desc.size)) / tails
+    tails = tail[:-1]  # sums of positive weights, so no division by zero
+    c = np.arange(s, s - desc.size, -1) / tails
     upper = 1.0 / desc  # segment j ends where entry j saturates
-    lower = np.concatenate(([0.0], upper[:-1]))
-    stop = (tails <= 0.0) | ((lower - 1e-12 <= c) & (c <= upper + 1e-12))
+    stop = c <= upper + 1e-12
+    # segment j starts where entry j - 1 saturates; segment 0 starts at 0,
+    # a bound every positive c_0 meets
+    stop[1:] &= upper[:-1] - 1e-12 <= c[1:]
+    stop |= tails <= 0.0
     j = int(stop.argmax())
     c_star = None
     if stop[j] and tails[j] > 0.0:

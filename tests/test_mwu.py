@@ -295,7 +295,7 @@ class TestBregmanLoopReference:
     def test_bit_identical_to_loop(self, m):
         gen = np.random.default_rng(m)
         project = lambda w, s: bregman_project(DenseMeasure(w), s)  # noqa: E731
-        raised = 0
+        infeasible = 0
         for w in _reference_measures(gen, m):
             count = int((w > 0.0).sum())
             if m <= 64:
@@ -307,18 +307,12 @@ class TestBregmanLoopReference:
                 want = _outcome(_loop_bregman_reference, w, s)
                 got = _outcome(project, w, s)
                 if isinstance(want, tuple):
-                    raised += 1
                     assert got == want
+                    infeasible += want[0] is ProjectionInfeasibleError
                 else:
                     assert got.tobytes() == want.tobytes(), (m, s)
-        assert raised >= 1  # s one past the positive count is always infeasible
-
-    def test_infeasible_cases_agree(self):
-        for w, s in (([1.0, 0.0, 0.0], 2), ([0.0, 0.0], 1), ([0.5], 2)):
-            with pytest.raises(ProjectionInfeasibleError):
-                _loop_bregman_reference(np.array(w), s)
-            with pytest.raises(ProjectionInfeasibleError):
-                bregman_project(DenseMeasure(np.array(w)), s)
+        # s one past the positive count is infeasible for every measure
+        assert infeasible == 10
 
 
 class TestDenseStep:
