@@ -228,7 +228,7 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     # segment j starts where entry j - 1 saturates; segment 0 starts at 0,
     # a bound every positive c_0 meets
     stop[1:] &= upper[:-1] - 1e-12 <= c[1:]
-    stop |= tails <= 0.0
+    stop |= tails <= 0.0  # the walk's stop rule, kept though positive tails never meet it
     j = int(stop.argmax())
     c_star = None
     if stop[j] and tails[j] > 0.0:

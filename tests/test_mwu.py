@@ -28,6 +28,7 @@ from conedp.mwu import (
     dense_mwu_step,
     uniform_measure,
 )
+from conedp.mwu import _dense_mass
 
 from conftest import random_element_inf_bounded
 
@@ -250,13 +251,12 @@ def _loop_bregman_reference(weights, s):
             c_star = max(c, 0.0)
             break
     if c_star is None:
-        mass = lambda c: float(np.minimum(1.0, c * w).sum())  # noqa: E731
         lo, hi = 0.0, s / max(positive.sum(), 1e-300) + 1.0
-        while mass(hi) < s:
+        while _dense_mass(hi, w) < s:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if mass(mid) < s:
+            if _dense_mass(mid, w) < s:
                 lo = mid
             else:
                 hi = mid
