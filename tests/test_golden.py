@@ -2,8 +2,9 @@
 
 Each case hashes the float64 bytes of a computation's output with SHA-256.
 The solver cases cover the solution coordinates plus the iteration count,
-the violated rows, the maximum violation and the guarantee flags; the
-spectral cases cover eigenvalues, Jordan frames and exponentials on a fixed
+the violated rows, the maximum violation and the guarantee flags; the traced
+solver cases add the ``collect_trace`` rows and the oracle and noise
+counters; the spectral cases cover eigenvalues, Jordan frames and exponentials on a fixed
 random set of elements.  A speed-up that reorders a floating-point sum shows
 up here as a changed hash.  A change that alters outputs on purpose says so
 and re-pins the values below.
@@ -31,6 +32,8 @@ from conedp.mwu import cone_mwu_init, cone_mwu_step
 from conedp.solvers import (
     SolverConfig,
     covering_density_lower_bound,
+    scale_to_distribution,
+    solve_constraint_private,
     solve_covering_high_sensitivity,
     solve_feasibility,
     solve_scalar_private,
@@ -62,6 +65,69 @@ def _report_digest(report) -> str:
     d.floats([report.max_violation])
     d.text(report.guarantee_flags)
     return d.hexdigest()
+
+
+def _traced_digest(report) -> str:
+    d = _Digest()
+    d.text(_report_digest(report))
+    d.text([(t, i) for t, i, _ in report.trace])
+    d.floats([v for _, _, v in report.trace])
+    d.text((report.oracle_invocations, report.noise_invocations))
+    return d.hexdigest()
+
+
+def _private_config(alpha, epsilon, delta, sensitivity) -> SolverConfig:
+    return SolverConfig(
+        alpha=alpha,
+        beta=0.05,
+        budget=PrivacyBudget(epsilon, delta),
+        sensitivity=Sensitivity(sensitivity, "linf"),
+        collect_trace=True,
+    )
+
+
+def _traced_feasibility(spec: str, seed: int) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+    return _traced_digest(solve_feasibility(instance, 0.3, collect_trace=True))
+
+
+def _traced_feasibility_ge(seed: int) -> str:
+    # GE rows: the covering instance scaled so a trace-one point is feasible
+    instance, meta = generate_covering_sdp(2, 8, seed)
+    instance = scale_to_distribution(instance, meta["planted_opt"])
+    return _traced_digest(solve_feasibility(instance, 0.2, collect_trace=True))
+
+
+def _traced_scalar(spec: str, seed: int, sensitivity: float) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+    config = _private_config(0.3, 1.0, 1e-5, sensitivity)
+    return _traced_digest(solve_scalar_private(instance, config, RandomSource(seed)))
+
+
+def _traced_constraint(spec: str, seed: int, sensitivity: float) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+    config = _private_config(0.5, 2.0, 0.05, sensitivity)
+    return _traced_digest(solve_constraint_private(instance, config, RandomSource(seed)))
+
+
+def _traced_constraint_loss_bound(seed: int) -> str:
+    # huge Gaussian noise: the loss leaves [-1, 1] and the flag is raised
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.sym(2), 4, 0.05, seed)
+    config = _private_config(2.0, 0.05, 0.05, 1.0)
+    report = solve_constraint_private(instance, config, RandomSource(seed))
+    assert "loss-bound-exceeded" in report.guarantee_flags
+    return _traced_digest(report)
+
+
+def _traced_covering(seed: int) -> str:
+    instance, meta = generate_covering_sdp(2, 8, seed)
+    opt = meta["planted_opt"]
+    config = SolverConfig(
+        alpha=opt, beta=0.1, budget=PrivacyBudget(1.0, 0.01), density=7,
+        collect_trace=True,
+    )
+    report = solve_covering_high_sensitivity(instance, opt, config, RandomSource(seed))
+    return _traced_digest(report)
 
 
 def _feasibility(spec: str, seed: int) -> str:
@@ -172,12 +238,36 @@ GOLDEN = {
     "spectral-s7": "491cf252909a3af4261b05ef9da45dae310bb1ae8e4ba20666df0de60feae739",
     "spectral-s8": "091a43eaa828e36db21311eca72332e7efbb3892861032981503747ac8ff6b58",
     "spectral-s9": "dc3266def193f5c41bca6932a389f828f6a0ceddd584ba86327fc91bb308e486",
+    "traced-constraint-exact-s3-5": "31a11b97a9d5aa94c5f91fae4f08e56f882ac13d33ed339d9ddc14f10a55ce0c",
+    "traced-constraint-loss-bound-s2-1": "fb6385b8b271673c1d2ccab1d36e937d1cd2ee1f2a70d832bfbc4f1c2b85e8ce",
+    "traced-constraint-loss-bound-s2-2": "a7d50ba2e92c30b27bfbf957239444d06c48b4031b65cd272538144c5b9f5fc0",
+    "traced-constraint-r2+s3+q4-5": "95079e3368c80b7b5fe8a1f20205367f5bb7797a7eed6016f2c146d9ee57e0ec",
+    "traced-constraint-s2+s5-5": "5743915edd16a3d6b8ff571899584bd2b16b90f13f0b062277959cf73aa771cf",
+    "traced-constraint-s3-5": "ed86c7334fd5e492f7ae3e913e1a04be99128c0658b94d7310b7ccb805a7b3c7",
+    "traced-covering-s2-5": "083fccc3d644cede85e1317d17bfd2c7b721d1132df41ccb4aff89094a643d12",
+    "traced-feasibility-ge-s2-5": "759b29cc17d9aac50ec29d7bed8f578e2d7ca7614795614fe2cd120dd332b436",
+    "traced-feasibility-ge-s2-6": "9be85ed2d54a151e3440f1338a84b5bef2b24e97e631650cb592b2ac3d95d145",
+    "traced-feasibility-r2+s3+q4-1": "23be46cbcfb68a3e90086208204b4d0b66d6ee2e2ef2e55788636dbe95faceda",
+    "traced-feasibility-s2+s5-1": "c15283c385ff55ed13bf524970c6102f0f7f2ecf095c843b409ef4c0f33b6f6f",
+    "traced-feasibility-s3-1": "2d95162ca6b959447335652a4df76242756538a0f19230ee05ab493bbd20c81f",
+    "traced-scalar-exact-s3-3": "8e90ddbf1181ff660106ff0dafe5a13527e6a913c70b52e623abef35ff14deaa",
+    "traced-scalar-r2+s3+q4-3": "ee2e116b82853cd780c0622b0e54dd0bcd171bb75d87df44d57657de270f9068",
+    "traced-scalar-s2+s5-3": "97a047034d498ff60c5f5aec5317d2b33fa73c8446745255a1a91204bbc3d5fb",
+    "traced-scalar-s3-3": "8ef025645dcef86ca411d17295696055b6332e1a6222e93be4e94097931b0ab0",
 }
 
 CASES = {
     **{f"feasibility-{a}-{s}": (_feasibility, a, s) for a in _ALGEBRAS for s in (1, 2)},
     **{f"scalar-{a}-{s}": (_scalar_private, a, s) for a in _ALGEBRAS for s in (3, 4)},
     **{f"covering-s2-{s}": (_covering, s) for s in (0, 5, 6)},
+    **{f"traced-feasibility-{a}-{s}": (_traced_feasibility, a, s) for a in _ALGEBRAS for s in (1,)},
+    **{f"traced-feasibility-ge-s2-{s}": (_traced_feasibility_ge, s) for s in (5, 6)},
+    **{f"traced-scalar-{a}-{s}": (_traced_scalar, a, s, 0.05) for a in _ALGEBRAS for s in (3,)},
+    "traced-scalar-exact-s3-3": (_traced_scalar, "s3", 3, 0.0),
+    **{f"traced-constraint-{a}-{s}": (_traced_constraint, a, s, 0.01) for a in _ALGEBRAS for s in (5,)},
+    "traced-constraint-exact-s3-5": (_traced_constraint, "s3", 5, 0.0),
+    **{f"traced-constraint-loss-bound-s2-{s}": (_traced_constraint_loss_bound, s) for s in (1, 2)},
+    "traced-covering-s2-5": (_traced_covering, 5),
     **{f"spectral-s{r}": (_spectral, r) for r in range(1, 11)},
     **{f"expm-{a}": (_mixed_expm, a) for a in ("s3", "r2+s3+q4", "s2+s5", "q3+r3", "r4")},
     **{f"cone-step-{a}": (_cone_iterates, a) for a in ("s3", "r2+s3+q4", "s8")},
