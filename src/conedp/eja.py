@@ -412,14 +412,16 @@ def _jacobi_eigh(
     When the Frobenius norm of a finite matrix overflows, the threshold
     would be infinite and no sweep would run.  Only then, the same sweeps
     run on the matrix scaled by an exact power of two, and the eigenvalues
-    are scaled back.
+    are scaled back.  A matrix holding NaN or inf raises ValueError.
     """
     a = np.array(mat, dtype=float)
     n = a.shape[0]
     if n == 1:
         return a[0, :1].copy(), np.eye(1) if vectors else None
     scale = float(np.linalg.norm(a))
-    if math.isinf(scale) and np.isfinite(a).all():
+    if not math.isfinite(scale):
+        if not np.isfinite(a).all():
+            raise ValueError("matrix contains non-finite values (NaN or inf)")
         exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
         vals, vecs = _jacobi_eigh(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
         return np.ldexp(vals, exponent), vecs

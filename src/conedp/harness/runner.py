@@ -28,7 +28,6 @@ from conedp.solvers import (
     solve_objective_private,
     solve_scalar_private,
 )
-from conedp.oracles import width_rho
 
 __all__ = [
     "SOLVER_NAMES",
@@ -91,7 +90,7 @@ def _alpha_bound(solver: str, instance: ScpInstance, config: SolverConfig) -> fl
     if solver == "scalar":
         return scalar_private_alpha_bound(
             dinf,
-            width_rho(instance),
+            instance.width,
             alg.rank,
             instance.num_constraints,
             eps,

@@ -219,21 +219,20 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
         return DenseDistribution(probs, s)
 
     desc = np.sort(positive)[::-1]
-    tail = np.concatenate((np.cumsum(desc[::-1])[::-1], [0.0]))  # tail[j] = sum desc[j:]
-    # segment j: top j entries saturated at 1, the rest still linear in c
-    tails = tail[:-1]  # sums of positive weights, so no division by zero
+    # segment j: top j entries saturated at 1, the rest still linear in c.
+    # tails[j] = sum desc[j:] is a rounded sum of positive weights, so it is
+    # at least its largest term and never zero.
+    tails = np.cumsum(desc[::-1])[::-1]
     c = np.arange(s, s - desc.size, -1) / tails
     upper = 1.0 / desc  # segment j ends where entry j saturates
     stop = c <= upper + 1e-12
     # segment j starts where entry j - 1 saturates; segment 0 starts at 0,
     # a bound every positive c_0 meets
     stop[1:] &= upper[:-1] - 1e-12 <= c[1:]
-    stop |= tails <= 0.0  # the walk's stop rule, kept though positive tails never meet it
     j = int(stop.argmax())
-    c_star = None
-    if stop[j] and tails[j] > 0.0:
+    if stop[j]:
         c_star = max(c[j], 0.0)
-    if c_star is None:
+    else:
         lo, hi = 0.0, s / max(positive.sum(), 1e-300) + 1.0
         while _dense_mass(hi, w) < s:
             hi *= 2.0

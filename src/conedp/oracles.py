@@ -2,8 +2,10 @@
 
 The covering oracles do linear minimization over a finite net of scaled
 primitive-idempotent rays; the dual oracles return a most violated
-constraint index for a given primal point.  Both come in an exact flavor
-and a private flavor backed by the exponential mechanism.
+constraint index from a vector of violation scores.  The covering oracles
+come in an exact flavor and a private flavor backed by the exponential
+mechanism; the dual oracle is private, with the exact argmax as its
+zero-sensitivity case.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ __all__ = [
     "covering_oracle_private",
     "covering_oracle_sensitivity",
     "violation_scores",
-    "dual_oracle_exact",
     "dual_oracle_private",
-    "width_rho",
 ]
 
 _MAX_NET_RANK = 10
@@ -123,6 +123,16 @@ class ScpInstance:
         signs = np.array([1.0 if s == "LE" else -1.0 for s in self.senses])
         signs.setflags(write=False)
         return signs
+
+    @cached_property
+    def width(self) -> float:
+        """Width of the constraint system: the largest spectral inf-norm."""
+        return max(norm(a, math.inf) for a in self.constraints)
+
+    def violations(self, coords: np.ndarray) -> np.ndarray:
+        """Signed violations at the point with these orthonormal coordinates."""
+        values = self.constraint_coords @ coords
+        return self.sense_signs * (values - self.scalars)
 
 
 class NetBudgetError(ValueError):
@@ -359,40 +369,23 @@ def covering_oracle_private(
 
 def violation_scores(instance: ScpInstance, x: EjaElement) -> np.ndarray:
     """Signed violations: <a_i, x> - b_i for LE rows, b_i - <a_i, x> for GE."""
-    values = instance.constraint_coords @ to_coords(x)
-    return instance.sense_signs * (values - instance.scalars)
-
-
-def dual_oracle_exact(instance: ScpInstance, x: EjaElement) -> int:
-    """Index of the most violated constraint; ties take the lowest index.
-
-    The index is returned even when every constraint is satisfied (the
-    maximum is then nonpositive); callers may treat that as an early
-    feasibility signal.
-    """
-    return int(np.argmax(violation_scores(instance, x)))
+    return instance.violations(to_coords(x))
 
 
 def dual_oracle_private(
-    instance: ScpInstance,
-    x: EjaElement,
+    scores: np.ndarray,
     epsilon: float,
     sensitivity: float,
     rng: RandomSource,
 ) -> int:
     """Exponential-mechanism selection of an approximately most violated row.
 
-    For a trace-one cone point x the violation score moves by at most the
-    given sensitivity between neighboring instances (scalar or constraint
-    perturbations alike).  Zero sensitivity degenerates to the exact
-    argmax and consumes no randomness.
+    ``scores`` are the violation scores of a trace-one cone point, which
+    move by at most the given sensitivity between neighboring instances
+    (scalar or constraint perturbations alike).  Zero sensitivity is the
+    exact oracle: the argmax, ties to the lowest index, consuming no
+    randomness.  The index is returned even when every row is satisfied.
     """
-    scores = violation_scores(instance, x)
     if sensitivity == 0.0:
         return int(np.argmax(scores))
     return exponential_mechanism(scores, sensitivity, epsilon, rng)
-
-
-def width_rho(instance: ScpInstance) -> float:
-    """Width of the constraint system: the largest spectral inf-norm."""
-    return max(norm(a, math.inf) for a in instance.constraints)

@@ -14,6 +14,10 @@ Five entry points:
 * :func:`solve_objective_private` releases a Gaussian-perturbed objective
   and solves the perturbed program by desk-scale candidate search.
 
+The first three share one loop, :func:`_primal_mwu`; they differ only in
+the schedule, the dual oracle's privacy parameters and the loss of the
+picked row.
+
 Every solver consumes an explicit RandomSource and is bit-reproducible
 for a fixed seed.
 """
@@ -42,7 +46,6 @@ from conedp.mechanisms import (
     RandomSource,
     Sensitivity,
     advanced_composition,
-    exponential_mechanism,
     gaussian_mechanism,
 )
 from conedp.mwu import (
@@ -53,12 +56,11 @@ from conedp.mwu import (
     uniform_measure,
 )
 from conedp.oracles import (
-    CoveringNet,
     ScpInstance,
     covering_oracle_private,
+    dual_oracle_private,
     idempotent_ray_net,
     violation_scores,
-    width_rho,
 )
 
 __all__ = [
@@ -170,9 +172,8 @@ def _build_report(
     iterations: int,
     flags: tuple[str, ...],
     trace: list[tuple[int, int, float]] | None,
-    oracle_calls: int,
-    noise_calls: int,
 ) -> SolveReport:
+    """Report for the point x; every step called the oracle once."""
     margins = violation_scores(instance, x)
     violated = tuple(
         (int(i), float(margins[i])) for i in np.flatnonzero(margins > alpha)
@@ -184,8 +185,7 @@ def _build_report(
         max_violation=float(margins.max()),
         guarantee_flags=flags,
         trace=tuple(trace) if trace is not None else None,
-        oracle_invocations=oracle_calls,
-        noise_invocations=noise_calls,
+        oracle_invocations=iterations,
     )
 
 
@@ -199,106 +199,86 @@ def _primal_mwu(
     alpha: float,
     iterations: int,
     eta: float,
-    pick: Callable[[np.ndarray, RandomSource], int],
-    rng: RandomSource,
+    oracle: tuple[float, float] | None,
     loss_of: Callable[[int, RandomSource], EjaElement],
-    skip_satisfied: bool,
+    rng: RandomSource | None,
     collect_trace: bool,
-    count_noise: bool = False,
 ) -> SolveReport:
-    """Shared loop: pick a row, fold its loss into the cone iterate, average.
+    """Shared loop: score the rows, pick one, fold its loss into the iterate.
 
-    ``pick`` maps the current violation scores to a constraint index;
-    ``loss_of`` maps that index to the loss element (this is where private
-    variants inject noise).  When ``skip_satisfied`` is set and the picked
-    row is already satisfied, the update is skipped; private solvers must
-    leave it off because the skip would branch on private data.
+    ``oracle`` is None for the exact oracle, under which a picked row that
+    is already satisfied makes no update.  Otherwise it is the (epsilon,
+    sensitivity) of the private dual oracle, and every pick updates, since
+    a skip would branch on private data.  ``loss_of`` maps the picked index
+    to the loss element (this is where private variants inject noise).
     """
+    epsilon, sensitivity = oracle or (0.0, 0.0)
     state = cone_mwu_init(instance.algebra, eta)
     avg_coords = np.zeros(instance.algebra.dim)
     trace_rows: list[tuple[int, int, float]] | None = [] if collect_trace else None
-    flags: list[str] = []
-    oracle_calls = 0
-    noise_calls = 0
     for t in range(1, iterations + 1):
-        iterate = state.iterate
-        avg_coords += to_coords(iterate)
-        scores = violation_scores(instance, iterate)
-        idx = pick(scores, rng)
-        oracle_calls += 1
+        coords = to_coords(state.iterate)
+        avg_coords += coords
+        scores = instance.violations(coords)
+        idx = dual_oracle_private(scores, epsilon, sensitivity, rng)
         if trace_rows is not None:
             trace_rows.append((t, idx, float(scores[idx])))
-        if skip_satisfied and scores[idx] <= 0.0:
+        if oracle is None and scores[idx] <= 0.0:
             continue
-        loss = loss_of(idx, rng)
-        if count_noise:
-            noise_calls += 1
-            if norm(loss, math.inf) > 1.0 + 1e-9 and "loss-bound-exceeded" not in flags:
-                flags.append("loss-bound-exceeded")
-        state = cone_mwu_step(state, loss)
+        state = cone_mwu_step(state, loss_of(idx, rng))
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
-    return _build_report(
-        x_bar,
-        instance,
-        alpha,
-        iterations,
-        tuple(flags),
-        trace_rows,
-        oracle_calls,
-        noise_calls,
-    )
+    return _build_report(x_bar, instance, alpha, iterations, (), trace_rows)
 
 
-def _feasibility_schedule(rho: float, rank: int, alpha: float) -> tuple[float, int]:
-    eta = alpha / (4.0 * rho)
-    iterations = max(1, math.ceil(16.0 * rho * rho * math.log(max(rank, 2)) / alpha**2))
-    return eta, iterations
-
-
-def solve_feasibility(
+def _feasibility(
     instance: ScpInstance,
     alpha: float,
-    oracle: Callable[[np.ndarray, RandomSource], int] | None = None,
-    rng: RandomSource | None = None,
-    collect_trace: bool = False,
-    skip_satisfied: bool = True,
+    private: tuple[PrivacyBudget, float] | None,
+    rng: RandomSource | None,
+    collect_trace: bool,
 ) -> SolveReport:
-    """Find a trace-one cone point satisfying every row up to alpha.
+    """The exact and scalar-private solve; ``private`` is (budget, sensitivity).
 
-    Assumes the instance (after :func:`scale_to_distribution` if needed)
-    admits a feasible trace-one point.  Runs eta = alpha/(4 rho) for
-    16 rho^2 log(r) / alpha^2 steps with loss a_i / rho on the picked row.
-    With the default exact oracle the returned average violates no
-    constraint by more than alpha; rows that are already satisfied when
-    picked produce no movement.
+    Runs eta = alpha/(4 rho) for 16 rho^2 log(r) / alpha^2 steps with loss
+    a_i / rho on the picked row.
     """
-    if rng is None:
-        rng = RandomSource(0)
-    rho = width_rho(instance)
+    rho = instance.width
     if rho == 0.0:
         # all-zero constraints: any trace-one point is as good as any other
         x = identity(instance.algebra) / instance.algebra.rank
-        return _build_report(x, instance, alpha, 0, (), [] if collect_trace else None, 0, 0)
-    eta, iterations = _feasibility_schedule(rho, instance.algebra.rank, alpha)
-    if oracle is None:
-        oracle = lambda scores, _rng: int(np.argmax(scores))
-
+        return _build_report(x, instance, alpha, 0, (), [] if collect_trace else None)
+    eta = alpha / (4.0 * rho)
+    rank = instance.algebra.rank
+    iterations = max(1, math.ceil(16.0 * rho * rho * math.log(max(rank, 2)) / alpha**2))
+    oracle = None
+    if private is not None:
+        budget, sensitivity = private
+        oracle = (advanced_composition(budget, iterations), sensitivity)
     signs = instance.sense_signs
 
     def loss_of(idx: int, _rng: RandomSource) -> EjaElement:
         return (signs[idx] / rho) * instance.constraints[idx]
 
     return _primal_mwu(
-        instance,
-        alpha,
-        iterations,
-        eta,
-        oracle,
-        rng,
-        loss_of,
-        skip_satisfied=skip_satisfied,
-        collect_trace=collect_trace,
+        instance, alpha, iterations, eta, oracle, loss_of, rng, collect_trace
     )
+
+
+def solve_feasibility(
+    instance: ScpInstance,
+    alpha: float,
+    rng: RandomSource | None = None,
+    collect_trace: bool = False,
+) -> SolveReport:
+    """Find a trace-one cone point satisfying every row up to alpha.
+
+    Assumes the instance (after :func:`scale_to_distribution` if needed)
+    admits a feasible trace-one point.  The exact oracle picks the most
+    violated row, so the returned average violates no constraint by more
+    than alpha; rows that are already satisfied when picked produce no
+    movement.  The oracle draws nothing from ``rng``.
+    """
+    return _feasibility(instance, alpha, None, rng, collect_trace)
 
 
 def solve_scalar_private(
@@ -310,39 +290,10 @@ def solve_scalar_private(
     straight from the data; privacy enters solely through the dual oracle,
     run at the per-step epsilon from advanced composition over the T
     oracle calls.  Zero declared sensitivity degenerates to the exact
-    oracle.
+    oracle, still updating on every pick.
     """
-    rho = width_rho(instance)
-    if rho == 0.0:
-        x = identity(instance.algebra) / instance.algebra.rank
-        return _build_report(x, instance, config.alpha, 0, (), None, 0, 0)
-    eta, iterations = _feasibility_schedule(
-        rho, instance.algebra.rank, config.alpha
-    )
-    step_epsilon = advanced_composition(config.budget, iterations)
-    delta_inf = config.sensitivity.value
-
-    def oracle(scores: np.ndarray, r: RandomSource) -> int:
-        if delta_inf == 0.0:
-            return int(np.argmax(scores))
-        return exponential_mechanism(scores, delta_inf, step_epsilon, r)
-
-    signs = instance.sense_signs
-
-    def loss_of(idx: int, _rng: RandomSource) -> EjaElement:
-        return (signs[idx] / rho) * instance.constraints[idx]
-
-    return _primal_mwu(
-        instance,
-        config.alpha,
-        iterations,
-        eta,
-        oracle,
-        rng,
-        loss_of,
-        skip_satisfied=False,
-        collect_trace=config.collect_trace,
-    )
+    private = (config.budget, config.sensitivity.value)
+    return _feasibility(instance, config.alpha, private, rng, config.collect_trace)
 
 
 def constraint_private_step_epsilon(budget: PrivacyBudget, iterations: int) -> float:
@@ -355,18 +306,15 @@ def constraint_private_step_epsilon(budget: PrivacyBudget, iterations: int) -> f
 
 
 def solve_constraint_private(
-    instance: ScpInstance,
-    config: SolverConfig,
-    rng: RandomSource,
-    public_width: float = 1.0,
+    instance: ScpInstance, config: SolverConfig, rng: RandomSource
 ) -> SolveReport:
     """Feasibility solve where the constraint elements are private.
 
-    Requires every constraint spectrum inside [-1, 1] (so the supplied
-    public width bound, default 1, dominates the true width; the
-    data-dependent width must not be read).  Each step picks a row with a
-    private dual oracle and loads the loss (a_i + z)/2 with z a Gaussian
-    element; schedule T = 144 log(r)/alpha^2, eta = alpha/(12 rho).
+    Requires every constraint spectrum inside [-1, 1], so the public width
+    bound 1 dominates the true width (the data-dependent width must not be
+    read).  Each step picks a row with a private dual oracle and loads the
+    loss (a_i + z)/2 with z a Gaussian element; schedule
+    T = 144 log(r)/alpha^2, eta = alpha/12.
 
     With zero declared sensitivity the Gaussian scale is zero and the
     noise machinery is bypassed entirely, so the run reduces to the
@@ -374,48 +322,42 @@ def solve_constraint_private(
     seed.
     """
     delta_inf = config.sensitivity.value
-    spectrum_bound = max(norm(a, math.inf) for a in instance.constraints)
-    if spectrum_bound > 1.0 + 1e-9:
+    if instance.width > 1.0 + 1e-9:
         raise ValueError(
-            f"constraint spectra must lie in [-1, 1]; found inf-norm {spectrum_bound:.6g}"
+            f"constraint spectra must lie in [-1, 1]; found inf-norm {instance.width:.6g}"
         )
     if delta_inf == 0.0:
         return solve_scalar_private(instance, config, rng)
 
-    if not (public_width > 0.0):
-        raise ValueError(f"public width must be positive, got {public_width}")
-    alg = instance.algebra
-    r = alg.rank
+    r = instance.algebra.rank
     alpha = config.alpha
     iterations = max(1, math.ceil(144.0 * math.log(max(r, 2)) / alpha**2))
     step_epsilon = constraint_private_step_epsilon(config.budget, iterations)
-    eta = alpha / (12.0 * public_width)
     delta = config.budget.delta
     if delta <= 0.0:
         raise ValueError("constraint-private solving requires delta > 0")
     sigma = delta_inf * math.sqrt(2.0 * r * math.log(iterations / delta)) / step_epsilon
-
-    def oracle(scores: np.ndarray, rsrc: RandomSource) -> int:
-        return exponential_mechanism(scores, delta_inf, step_epsilon, rsrc)
-
     signs = instance.sense_signs
+    exceeded = False
 
     def loss_of(idx: int, rsrc: RandomSource) -> EjaElement:
-        noisy = gaussian_mechanism(signs[idx] * instance.constraints[idx], sigma, rsrc)
-        return 0.5 * noisy
+        nonlocal exceeded
+        loss = 0.5 * gaussian_mechanism(signs[idx] * instance.constraints[idx], sigma, rsrc)
+        exceeded = exceeded or norm(loss, math.inf) > 1.0 + 1e-9
+        return loss
 
-    return _primal_mwu(
+    report = _primal_mwu(
         instance,
         alpha,
         iterations,
-        eta,
-        oracle,
-        rng,
+        alpha / 12.0,
+        (step_epsilon, delta_inf),
         loss_of,
-        skip_satisfied=False,
-        collect_trace=config.collect_trace,
-        count_noise=True,
+        rng,
+        config.collect_trace,
     )
+    flags = ("loss-bound-exceeded",) if exceeded else ()
+    return replace(report, guarantee_flags=flags, noise_invocations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +386,15 @@ def solve_covering_high_sensitivity(
     opt: float,
     config: SolverConfig,
     rng: RandomSource,
-    net: CoveringNet | None = None,
-    net_mode: str = "grid",
 ) -> SolveReport:
     """Covering solve private against addition/removal of whole constraints.
 
     Expects GE-sense rows <a_i, x> >= b_i with unit-bounded constraint
     norms, and a trace budget ``opt`` for the candidate solutions.  A
     dense measure over rows is Bregman-projected each step, the private
-    net oracle returns an approximately minimizing candidate, and losses
-    are affinely mapped into [0, 1] before the multiplicative update.  The
+    oracle over a grid net of idempotent rays returns an approximately
+    minimizing candidate, and losses are affinely mapped into [0, 1]
+    before the multiplicative update.  The
     average of the oracle picks satisfies all but fewer than ``density``
     rows up to alpha, with high probability, when the density meets
     :func:`covering_density_lower_bound`.
@@ -463,10 +404,9 @@ def solve_covering_high_sensitivity(
     if any(s != "GE" for s in instance.senses):
         raise ValueError("covering instances use GE sense rows")
     flags: list[str] = []
-    max_norm = max(norm(a, math.inf) for a in instance.constraints)
-    if max_norm > 1.0 + 1e-9:
+    if instance.width > 1.0 + 1e-9:
         raise ValueError(
-            f"covering rows must be normalized to unit inf-norm; found {max_norm:.6g}"
+            f"covering rows must be normalized to unit inf-norm; found {instance.width:.6g}"
         )
     m = instance.num_constraints
     s = config.density
@@ -474,10 +414,7 @@ def solve_covering_high_sensitivity(
     rho = 3.0 * opt - 1.0  # width bound for net candidates with trace <= opt
     if rho <= 0.0:
         rho = 1.0
-    if net is None:
-        net = idempotent_ray_net(
-            instance.algebra, opt, math.sqrt(opt / 2.0), net_mode, rng
-        )
+    net = idempotent_ray_net(instance.algebra, opt, math.sqrt(opt / 2.0))
     iterations = max(1, math.ceil(36.0 * rho * rho * math.log(max(m, 2)) / alpha**2))
     eta = min(0.5, math.sqrt(math.log(max(m, 2)) / iterations))
     step_epsilon = advanced_composition(config.budget, iterations)
@@ -493,13 +430,11 @@ def solve_covering_high_sensitivity(
         [] if config.collect_trace else None
     )
     b = instance.scalars
-    oracle_calls = 0
     for t in range(1, iterations + 1):
         projected = bregman_project(measure, s)
         pick = covering_oracle_private(
             projected.probabilities, instance, net, step_epsilon, opt, s, rng
         )
-        oracle_calls += 1
         point_coords = net.coords[pick]
         avg_coords += point_coords
         values = instance.constraint_coords @ point_coords
@@ -512,17 +447,7 @@ def solve_covering_high_sensitivity(
             worst = int(np.argmax(raw))
             trace_rows.append((t, worst, float(raw[worst])))
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
-    report = _build_report(
-        x_bar,
-        instance,
-        alpha,
-        iterations,
-        tuple(flags),
-        trace_rows,
-        oracle_calls,
-        0,
-    )
-    return report
+    return _build_report(x_bar, instance, alpha, iterations, tuple(flags), trace_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from conedp.eja import AlgebraDescriptor, EjaElement, from_coords, norm
+from conedp.eja import AlgebraDescriptor, EjaElement, norm
+from conedp.harness.generators import random_element
 from conedp.mechanisms import RandomSource
-
-
-def random_element(alg: AlgebraDescriptor, rng: RandomSource, scale: float = 1.0) -> EjaElement:
-    return from_coords(alg, scale * np.asarray(rng.standard_normal(alg.dim)))
 
 
 def random_element_inf_bounded(

@@ -262,6 +262,17 @@ class TestJacobiEdgeCases:
         recon = vecs @ np.diag(vals) @ vecs.T
         assert np.allclose(recon, mat, rtol=0.0, atol=1e-10 * np.abs(mat).max())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_raise(self, bad):
+        # a non-finite norm used to leave the threshold non-finite, so no
+        # sweep ran and the diagonal came back as the eigenvalues
+        mat = np.array([[1.0, bad], [bad, 2.0]])
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match="non-finite"):
+                _jacobi_eigh(mat, vectors=vectors)
+        with pytest.raises(ValueError, match="non-finite"):
+            _jacobi_eigh(np.array([[bad, 0.0], [0.0, 2.0]]))
+
     def test_sweep_limit_still_raises(self):
         mat = _jacobi_edge_matrices()["scaled-up"]
         with pytest.raises(JacobiConvergenceError) as err:

@@ -27,12 +27,10 @@ from conedp.oracles import (
     covering_oracle_exact,
     covering_oracle_private,
     covering_oracle_sensitivity,
-    dual_oracle_exact,
     dual_oracle_private,
     idempotent_ray_dimension,
     idempotent_ray_net,
     violation_scores,
-    width_rho,
 )
 
 R2 = AlgebraDescriptor.real(2)
@@ -252,6 +250,11 @@ class TestCoveringOracle:
         assert failures / trials <= beta + 3 * se
 
 
+def exact_pick(inst, x):
+    """The dual oracle at zero sensitivity, which draws nothing."""
+    return dual_oracle_private(violation_scores(inst, x), 1.0, 0.0, RandomSource(0))
+
+
 class TestDualOracle:
     def lp_instance(self):
         a1 = EjaElement(R2, [np.array([1.0, 0.0])])
@@ -262,20 +265,24 @@ class TestDualOracle:
         inst = ScpInstance(
             R2, (EjaElement(R2, [np.array([1.0, 1.0])]),), np.array([0.0]), zero(R2), ("LE",)
         )
-        assert dual_oracle_exact(inst, identity(R2)) == 0
+        assert exact_pick(inst, identity(R2)) == 0
 
     def test_hand_example(self):
         inst = self.lp_instance()
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         assert np.allclose(violation_scores(inst, x), [0.5, -0.5])
-        assert dual_oracle_exact(inst, x) == 0
+        assert exact_pick(inst, x) == 0
 
     def test_feasible_point_returns_least_violated(self):
         inst = self.lp_instance()
         x = EjaElement(R2, [np.array([-1.0, 0.5])])
         scores = violation_scores(inst, x)
         assert np.all(scores <= 0)
-        assert dual_oracle_exact(inst, x) == int(np.argmax(scores))
+        assert exact_pick(inst, x) == int(np.argmax(scores))
+
+    def test_zero_sensitivity_ties_take_lowest_index(self):
+        scores = np.array([-1.0, 0.25, 0.25, 0.25])
+        assert dual_oracle_private(scores, 1.0, 0.0, RandomSource(0)) == 1
 
     def test_ge_sense_mirrors(self):
         a = EjaElement(R2, [np.array([1.0, 0.0])])
@@ -287,7 +294,8 @@ class TestDualOracle:
         inst = self.lp_instance()
         x = EjaElement(R2, [np.array([0.9, 0.1])])
         rng = RandomSource(8)
-        picks = [dual_oracle_private(inst, x, 1e6, 0.1, rng) for _ in range(500)]
+        scores = violation_scores(inst, x)
+        picks = [dual_oracle_private(scores, 1e6, 0.1, rng) for _ in range(500)]
         assert all(p == 0 for p in picks)
 
     def test_zero_sensitivity_is_exact_and_consumes_nothing(self):
@@ -296,7 +304,8 @@ class TestDualOracle:
         rng = RandomSource(9)
         before = rng.uniform()
         rng2 = RandomSource(9)
-        assert dual_oracle_private(inst, x, 1.0, 0.0, rng2) == dual_oracle_exact(inst, x)
+        scores = violation_scores(inst, x)
+        assert dual_oracle_private(scores, 1.0, 0.0, rng2) == int(np.argmax(scores))
         assert rng2.uniform() == before
 
     def test_tied_scores_split_evenly(self):
@@ -306,7 +315,8 @@ class TestDualOracle:
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         rng = RandomSource(10)
         trials = 20_000
-        picks = np.array([dual_oracle_private(inst, x, 0.7, 0.3, rng) for _ in range(trials)])
+        scores = violation_scores(inst, x)
+        picks = np.array([dual_oracle_private(scores, 0.7, 0.3, rng) for _ in range(trials)])
         freq = float(np.mean(picks == 0))
         assert abs(freq - 0.5) <= 4.0 / math.sqrt(trials)
 
@@ -323,7 +333,7 @@ class TestDualOracle:
         trials = 10_000
         failures = 0
         for _ in range(trials):
-            pick = dual_oracle_private(inst, x, eps, dinf, rng)
+            pick = dual_oracle_private(scores, eps, dinf, rng)
             failures += int(scores[pick] < scores.max() - alpha)
         se = math.sqrt(gamma * (1 - gamma) / trials)
         assert failures / trials <= gamma + 3 * se
@@ -332,11 +342,11 @@ class TestDualOracle:
 class TestWidth:
     def test_examples(self):
         inst = covering_instance([identity(S2), identity(S2)], S2)
-        assert width_rho(inst) == pytest.approx(1.0)
+        assert inst.width == pytest.approx(1.0)
         inst2 = ScpInstance(
             S2, (sym2([[2, 0], [0, -3]]),), np.array([0.0]), zero(S2), ("LE",)
         )
-        assert width_rho(inst2) == pytest.approx(3.0)
+        assert inst2.width == pytest.approx(3.0)
 
     def test_mixed_direct_sum(self):
         mixed = AlgebraDescriptor.from_spec("r2+q3")
@@ -344,7 +354,7 @@ class TestWidth:
         x = EjaElement(mixed, blocks)
         inst = ScpInstance(mixed, (x,), np.array([0.0]), zero(mixed), ("LE",))
         # per-factor maxima: 1.5 on the vector part, 0.5 on the spin part
-        assert width_rho(inst) == pytest.approx(1.5)
+        assert inst.width == pytest.approx(1.5)
 
 
 class TestInstanceValidation:

@@ -17,7 +17,7 @@ from conedp.eja import (
 )
 from conedp.harness.generators import generate_covering_sdp, generate_feasible_scp
 from conedp.mechanisms import PrivacyBudget, RandomSource, Sensitivity, advanced_composition
-from conedp.oracles import ScpInstance, width_rho
+from conedp.oracles import ScpInstance
 from conedp.solvers import (
     BracketError,
     SolverConfig,
@@ -121,13 +121,24 @@ class TestScalarPrivate:
 
     def test_hand_instance_meets_theory_alpha(self):
         inst = lp([[1, -1], [-1, 1]], [0.0, 0.0])
-        rho = width_rho(inst)
+        rho = inst.width
         dinf = 0.02
         alpha = scalar_private_alpha_bound(dinf, rho, 2, 2, 2.0, 0.01, 0.05)
         cfg = SolverConfig(alpha, 0.05, self.budget(), sensitivity=Sensitivity(dinf, "linf"))
         for seed in range(3):
             report = solve_scalar_private(inst, cfg, RandomSource(seed))
             assert report.max_violation <= alpha
+
+    def test_zero_width_honours_collect_trace(self):
+        blank = ScpInstance(R2, (zero(R2), zero(R2)), np.array([0.5, 0.5]), zero(R2), ("LE",))
+        cfg = SolverConfig(
+            0.3, 0.05, self.budget(), sensitivity=Sensitivity(0.1, "linf"), collect_trace=True
+        )
+        report = solve_scalar_private(blank, cfg, RandomSource(0))
+        assert report.iterations == 0 and report.trace == ()
+        exact = solve_feasibility(blank, 0.3, collect_trace=True)
+        assert exact.trace == ()
+        assert np.array_equal(to_coords(report.solution), to_coords(exact.solution))
 
     def test_epsilon_monotonicity(self):
         inst, _ = generate_feasible_scp(S2, 6, 0.0, 7)
