@@ -233,11 +233,12 @@ def _primal_mwu(
 def _feasibility(
     instance: ScpInstance,
     alpha: float,
-    private: tuple[PrivacyBudget, float] | None,
+    budget: PrivacyBudget | None,
+    sensitivity: float,
     rng: RandomSource | None,
     collect_trace: bool,
 ) -> SolveReport:
-    """The exact and scalar-private solve; ``private`` is (budget, sensitivity).
+    """The exact solve (no budget) and the scalar-private solve.
 
     Runs eta = alpha/(4 rho) for 16 rho^2 log(r) / alpha^2 steps with loss
     a_i / rho on the picked row.
@@ -251,8 +252,7 @@ def _feasibility(
     rank = instance.algebra.rank
     iterations = max(1, math.ceil(16.0 * rho * rho * math.log(max(rank, 2)) / alpha**2))
     oracle = None
-    if private is not None:
-        budget, sensitivity = private
+    if budget is not None:
         oracle = (advanced_composition(budget, iterations), sensitivity)
     signs = instance.sense_signs
 
@@ -278,7 +278,7 @@ def solve_feasibility(
     than alpha; rows that are already satisfied when picked produce no
     movement.  The oracle draws nothing from ``rng``.
     """
-    return _feasibility(instance, alpha, None, rng, collect_trace)
+    return _feasibility(instance, alpha, None, 0.0, rng, collect_trace)
 
 
 def solve_scalar_private(
@@ -292,8 +292,14 @@ def solve_scalar_private(
     oracle calls.  Zero declared sensitivity degenerates to the exact
     oracle, still updating on every pick.
     """
-    private = (config.budget, config.sensitivity.value)
-    return _feasibility(instance, config.alpha, private, rng, config.collect_trace)
+    return _feasibility(
+        instance,
+        config.alpha,
+        config.budget,
+        config.sensitivity.value,
+        rng,
+        config.collect_trace,
+    )
 
 
 def constraint_private_step_epsilon(budget: PrivacyBudget, iterations: int) -> float:
@@ -394,10 +400,9 @@ def solve_covering_high_sensitivity(
     dense measure over rows is Bregman-projected each step, the private
     oracle over a grid net of idempotent rays returns an approximately
     minimizing candidate, and losses are affinely mapped into [0, 1]
-    before the multiplicative update.  The
-    average of the oracle picks satisfies all but fewer than ``density``
-    rows up to alpha, with high probability, when the density meets
-    :func:`covering_density_lower_bound`.
+    before the multiplicative update.  The average of the oracle picks
+    satisfies all but fewer than ``density`` rows up to alpha, with high
+    probability, when the density meets :func:`covering_density_lower_bound`.
     """
     if opt <= 0.0:
         raise ValueError(f"opt must be positive, got {opt}")
