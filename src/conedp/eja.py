@@ -395,8 +395,9 @@ def _jacobi_eigh(
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     Sweeps rotate every off-diagonal pair in a fixed row-major order until
-    the off-diagonal Frobenius norm falls below ``tol`` (relative to the
-    matrix scale).  Deterministic: no pivot search, no randomness.
+    the off-diagonal Frobenius norm falls below ``tol * max(1, ||A||_F)``:
+    relative to the matrix scale at or above unit norm, absolute below it.
+    Deterministic: no pivot search, no randomness.
 
     The sweeps run on Python float lists: each rotation updates columns p
     and q, then rows p and q, zeroes a[p][q] and a[q][p], then rotates the
@@ -418,7 +419,8 @@ def _jacobi_eigh(
     n = a.shape[0]
     if n == 1:
         return a[0, :1].copy(), np.eye(1) if vectors else None
-    scale = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
+        scale = float(np.linalg.norm(a))
     if not math.isfinite(scale):
         if not np.isfinite(a).all():
             raise ValueError("matrix contains non-finite values (NaN or inf)")
@@ -474,6 +476,114 @@ def _jacobi_eigh(
     return vals[order], np.array(vt).T[:, order]
 
 
+def _rotate_stacked(a: np.ndarray, p: int, q: int) -> None:
+    """One Jacobi rotation of pair (p, q) in place on every matrix of a stack.
+
+    The per-matrix arithmetic of one pair in ``_jacobi_eigh``: the same
+    theta/t/c/s formulas, then columns p and q, then rows p and q.
+    """
+    apq = a[:, p, q]
+    # np.where evaluates both branches on every matrix: theta**2 overflows on
+    # the rows that take the limit, and 0.5 / theta divides by zero on rows
+    # with theta == 0; neither value is kept
+    with np.errstate(over="ignore", divide="ignore"):
+        theta = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
+        sign = np.where(theta >= 0.0, 1.0, -1.0)
+        t = np.where(
+            np.abs(theta) > 1e150,
+            0.5 / theta,
+            sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
+        )
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = (t * c)[:, None]
+    c = c[:, None]
+    x = a[:, :, p]
+    y = a[:, :, q]
+    new_p = c * x - s * y
+    new_q = s * x + c * y
+    a[:, :, p] = new_p
+    a[:, :, q] = new_q
+    x = a[:, p, :]
+    y = a[:, q, :]
+    new_p = c * x - s * y
+    new_q = s * x + c * y
+    new_p[:, q] = 0.0
+    new_q[:, p] = 0.0
+    a[:, p, :] = new_p
+    a[:, q, :] = new_q
+
+
+def _offdiag_norms(a: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    # the sequential sums of _offdiag_norm, one per matrix
+    upper = np.zeros(len(a))
+    for p, q in pairs:
+        x = a[:, p, q]
+        upper = upper + x * x
+    lower = np.zeros(len(a))
+    for p, q in pairs:
+        x = a[:, q, p]
+        lower = lower + x * x
+    return np.sqrt(upper + lower)
+
+
+def _jacobi_eigvals_stacked(
+    mats: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int = _JACOBI_MAX_SWEEPS
+) -> np.ndarray:
+    """Eigenvalues of every matrix in an (m, r, r) stack, each row descending.
+
+    Runs the cyclic Jacobi of ``_jacobi_eigh(vectors=False)`` on all
+    matrices at once and returns, row for row, its values bit for bit.
+    Each matrix keeps its own threshold from the same ``np.linalg.norm``
+    call, pairs whose a[p][q] is exactly zero are skipped per matrix, and
+    a matrix freezes once its off-diagonal norm is at or below its
+    threshold, so it takes no rotation the single-matrix loop would not.
+    A matrix whose norm is not finite goes through ``_jacobi_eigh``
+    itself.  When matrices are still unconverged after ``max_sweeps``
+    sweeps, the error names the first of them, as a loop over the rows
+    calling ``_jacobi_eigh`` would.
+    """
+    a = np.array(mats, dtype=float)
+    m, n = a.shape[:2]
+    if n == 1:
+        return a[:, 0]
+    with np.errstate(over="ignore"):  # an overflowing norm takes _jacobi_eigh
+        scales = np.array([float(np.linalg.norm(mat)) for mat in a])
+    finite = np.isfinite(scales)
+    out = np.empty((m, n))
+    for i in np.flatnonzero(~finite):
+        out[i] = _jacobi_eigh(a[i], tol, max_sweeps, vectors=False)[0]
+    live = np.flatnonzero(finite)
+    work = a[live]
+    thresh = tol * np.maximum(1.0, scales[live])
+    pairs = tuple(itertools.combinations(range(n), 2))  # (p, q), p < q, row-major
+    diag = np.arange(n)
+    off = _offdiag_norms(work, pairs)
+    sweeps = 0
+    while True:
+        going = off > thresh
+        if not going.all():
+            done = ~going
+            vals = work[done][:, diag, diag]
+            order = np.argsort(-vals, axis=1, kind="stable")
+            out[live[done]] = np.take_along_axis(vals, order, axis=1)
+            live, work, off, thresh = live[going], work[going], off[going], thresh[going]
+        if not len(live):
+            return out
+        if sweeps >= max_sweeps:
+            raise JacobiConvergenceError(float(off[0]), sweeps)
+        for p, q in pairs:
+            hit = work[:, p, q] != 0.0
+            if hit.all():
+                _rotate_stacked(work, p, q)
+            elif hit.any():
+                rows = np.flatnonzero(hit)
+                sub = work[rows]
+                _rotate_stacked(sub, p, q)
+                work[rows] = sub
+        sweeps += 1
+        off = _offdiag_norms(work, pairs)
+
+
 def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
     if isinstance(factor, RealVector):
         return block.copy()
@@ -482,6 +592,17 @@ def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
         return vals
     radius = float(np.linalg.norm(block[1:]))
     return np.array([block[0] + radius, block[0] - radius])
+
+
+def _stacked_eigenvalues(factor: Factor, blocks: np.ndarray) -> np.ndarray:
+    """Row i is ``_factor_eigenvalues(factor, blocks[i])``, bit for bit."""
+    if isinstance(factor, RealVector):
+        return blocks
+    if isinstance(factor, SymMatrix):
+        return _jacobi_eigvals_stacked(blocks)
+    # per-row norms: a batched reduction sums in another order
+    radius = np.array([float(np.linalg.norm(b[1:])) for b in blocks])
+    return np.stack((blocks[:, 0] + radius, blocks[:, 0] - radius), axis=1)
 
 
 def eigenvalues(x: EjaElement) -> np.ndarray:
@@ -599,6 +720,18 @@ def _triu_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
     return _SYM_TRIU_CACHE[r]
 
 
+def _factor_coords(factor: Factor, block: np.ndarray) -> np.ndarray:
+    """One factor's part of :func:`to_coords`; ``block`` may carry leading
+    batch axes, so a stack of m blocks maps to m rows of coordinates."""
+    if isinstance(factor, RealVector):
+        return block
+    if isinstance(factor, SymMatrix):
+        iu, ju = _triu_indices(factor.r)
+        diag = np.diagonal(block, axis1=-2, axis2=-1)
+        return np.concatenate((diag, _SQRT2 * block[..., iu, ju]), axis=-1)
+    return _SQRT2 * block
+
+
 def to_coords(x: EjaElement) -> np.ndarray:
     """Orthonormal-basis coordinates; preserves the trace inner product.
 
@@ -606,16 +739,9 @@ def to_coords(x: EjaElement) -> np.ndarray:
     triangle row-major); spin blocks are scaled by sqrt(2).  The ordering
     is fixed so the map is reproducible bit for bit.
     """
-    parts = []
-    for f, b in zip(x.algebra.factors, x.blocks):
-        if isinstance(f, RealVector):
-            parts.append(b)
-        elif isinstance(f, SymMatrix):
-            iu, ju = _triu_indices(f.r)
-            parts.append(np.concatenate((np.diag(b), _SQRT2 * b[iu, ju])))
-        else:
-            parts.append(_SQRT2 * b)
-    return np.concatenate(parts)
+    return np.concatenate(
+        [_factor_coords(f, b) for f, b in zip(x.algebra.factors, x.blocks)]
+    )
 
 
 def from_coords(alg: AlgebraDescriptor, v: Sequence[float]) -> EjaElement:

@@ -43,9 +43,9 @@ def pack_element(x: EjaElement) -> list[list[float]]:
 
 
 def unpack_element(alg: AlgebraDescriptor, packed: list[list[float]]) -> EjaElement:
-    if len(packed) != len(alg.factors):
+    if not isinstance(packed, _SEQUENCES) or len(packed) != len(alg.factors):
         raise ValueError(
-            f"expected {len(alg.factors)} blocks, got {len(packed)}"
+            f"expected a list of {len(alg.factors)} blocks, got {_describe(packed)}"
         )
     blocks = []
     for factor, data in zip(alg.factors, packed):
@@ -79,6 +79,57 @@ def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = No
 
 
 _REQUIRED_FIELDS = ("algebra", "constraints", "b", "c", "sense")
+_SEQUENCES = (list, tuple, np.ndarray)
+
+
+def _describe(value) -> str:
+    if isinstance(value, _SEQUENCES):
+        return f"{len(value)}"
+    return type(value).__name__
+
+
+def _constraint_stacks(alg: AlgebraDescriptor, rows) -> list[np.ndarray]:
+    """Each factor's blocks over all constraint rows as one (m, ...) array.
+
+    Every row's block count and packed lengths are checked first, so a
+    malformed file names its first bad row; then each factor is read with
+    one ``np.array`` and symmetric blocks are unpacked with one scatter.
+    """
+    if not isinstance(rows, _SEQUENCES):
+        raise ValueError(f"constraints must be a list of rows, got {_describe(rows)}")
+    if not len(rows):
+        raise ValueError("an instance needs at least one constraint")
+    sizes = [f.dim for f in alg.factors]  # packed length of each block
+    for i, row in enumerate(rows):
+        if not isinstance(row, _SEQUENCES) or len(row) != len(sizes):
+            raise ValueError(
+                f"constraint row {i}: expected a list of {len(sizes)} blocks, "
+                f"got {_describe(row)}"
+            )
+        for factor, size, block in zip(alg.factors, sizes, row):
+            if not isinstance(block, _SEQUENCES) or len(block) != size:
+                raise ValueError(
+                    f"constraint row {i}: packed {factor.spec} block needs "
+                    f"{size} entries, got {_describe(block)}"
+                )
+    stacks = []
+    for j, (factor, size) in enumerate(zip(alg.factors, sizes)):
+        try:
+            packed = np.array([row[j] for row in rows], dtype=float)
+        except (TypeError, ValueError) as exc:
+            message = f"constraint {factor.spec} blocks must hold numbers: {exc}"
+            raise ValueError(message) from None
+        if packed.shape != (len(rows), size):
+            message = f"constraint {factor.spec} blocks must hold numbers, not lists"
+            raise ValueError(message)
+        if isinstance(factor, SymMatrix):
+            full = np.zeros((len(rows), factor.r, factor.r))
+            iu, ju = np.triu_indices(factor.r)
+            full[:, iu, ju] = packed
+            full[:, ju, iu] = packed
+            packed = full
+        stacks.append(packed)
+    return stacks
 
 
 def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
@@ -89,7 +140,8 @@ def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
     if missing:
         raise ValueError(f"instance is missing field(s): {', '.join(missing)}")
     alg = AlgebraDescriptor.from_spec(data["algebra"])
-    constraints = tuple(unpack_element(alg, p) for p in data["constraints"])
+    stacks = _constraint_stacks(alg, data["constraints"])
+    constraints = tuple(EjaElement(alg, blocks) for blocks in zip(*stacks))
     objective = unpack_element(alg, data["c"])
     instance = ScpInstance(
         algebra=alg,

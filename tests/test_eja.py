@@ -22,7 +22,10 @@ from conedp.eja import (
     to_coords,
     trace,
     zero,
+    _factor_eigenvalues,
     _jacobi_eigh,
+    _jacobi_eigvals_stacked,
+    _stacked_eigenvalues,
 )
 from conedp.mechanisms import RandomSource
 
@@ -215,6 +218,11 @@ def _jacobi_edge_matrices():
     }
 
 
+def _overflowing_norm_matrix():
+    g = np.random.default_rng(7).standard_normal((3, 3))
+    return 1e160 * (g + g.T)
+
+
 class TestJacobiEdgeCases:
     @pytest.mark.parametrize("name", sorted(_jacobi_edge_matrices()))
     def test_matches_lapack_and_reconstructs(self, name):
@@ -247,13 +255,13 @@ class TestJacobiEdgeCases:
         # eigenvectors of one 2x2 block have exact zeros in the other block
         assert np.all(vecs[:2, :2] == 0.0) and np.all(vecs[2:, 2:] == 0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_still_rotates(self):
         # the Frobenius norm of this matrix overflows to inf, which used to
-        # leave the threshold infinite and the diagonal unrotated
-        g = np.random.default_rng(7).standard_normal((3, 3))
-        mat = 1e160 * (g + g.T)
-        assert np.isinf(np.linalg.norm(mat))
+        # leave the threshold infinite and the diagonal unrotated; the
+        # overflow itself emits no RuntimeWarning
+        mat = _overflowing_norm_matrix()
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(mat))
         want = np.linalg.eigvalsh(mat)[::-1]
         for vectors in (False, True):
             vals, vecs = _jacobi_eigh(mat, vectors=vectors)
@@ -278,6 +286,86 @@ class TestJacobiEdgeCases:
         with pytest.raises(JacobiConvergenceError) as err:
             _jacobi_eigh(mat, max_sweeps=1)
         assert err.value.sweeps == 1 and err.value.residual > 0.0
+
+
+def _padded_edge_stack(n=4):
+    """The edge-case matrices and an overflowing-norm one, each zero-padded
+    to n x n, stacked between random matrices that need different sweeps."""
+    rng = np.random.default_rng(13)
+    # theta = 5e159 on pair (0, 1): theta**2 overflows, and the limit t = 0.5 /
+    # theta leaves a[0][0] at -1.05e-310 where t = 0 would leave 0.0
+    visible_limit = np.array([[0.0, 1e-150, 0.0], [1e-150, 1e10, 1e9], [0.0, 1e9, 2e9]])
+    edges = list(_jacobi_edge_matrices().values())
+    edges += [_overflowing_norm_matrix(), visible_limit]
+    mats = []
+    for k, edge in enumerate(edges):
+        g = (10.0 ** (k - 4)) * rng.standard_normal((n, n))
+        mats.append(g + g.T)
+        padded = np.zeros((n, n))
+        padded[: len(edge), : len(edge)] = edge
+        mats.append(padded)
+    return np.array(mats)
+
+
+class TestStackedJacobi:
+    @staticmethod
+    def assert_rows_match(stack, **kwargs):
+        got = _jacobi_eigvals_stacked(stack, **kwargs)
+        assert got.shape == stack.shape[:2]
+        for row, mat in zip(got, stack):
+            want, _ = _jacobi_eigh(mat, vectors=False, **kwargs)
+            assert row.tobytes() == want.tobytes()
+
+    def test_edge_cases_in_one_stack(self):
+        self.assert_rows_match(_padded_edge_stack())
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_random_stacks_match_bytes(self, r):
+        rng = np.random.default_rng(100 + r)
+        mats = []
+        for scale in (1e-150, 1e-3, 1.0, 1e4, 1e150):
+            g = scale * rng.standard_normal((6, r, r))
+            mats.extend(g + g.transpose(0, 2, 1))
+        mats.append(np.diag(np.arange(r, 0, -1.0)))  # already diagonal
+        mats.append(np.zeros((r, r)))
+        mats.append(np.ones((r, r)))  # theta == 0 on every pair
+        self.assert_rows_match(np.array(mats))
+
+    def test_non_finite_entries_raise(self):
+        stack = _padded_edge_stack()
+        stack[5, 0, 1] = stack[5, 1, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _jacobi_eigvals_stacked(stack)
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 2, 3])
+    def test_convergence_error_names_first_failing_row(self, max_sweeps):
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((12, 6, 6))
+        stack = g + g.transpose(0, 2, 1)
+        stack[:4] = np.diag(np.arange(6.0))  # converged before any sweep
+        want = None
+        for mat in stack:
+            try:
+                _jacobi_eigh(mat, max_sweeps=max_sweeps, vectors=False)
+            except JacobiConvergenceError as err:
+                want = err
+                break
+        assert want is not None
+        with pytest.raises(JacobiConvergenceError) as got:
+            _jacobi_eigvals_stacked(stack, max_sweeps=max_sweeps)
+        assert got.value.sweeps == want.sweeps == max_sweeps
+        assert got.value.residual == want.residual
+
+    @pytest.mark.parametrize("spec", ["r3", "s1", "s4", "q2", "q5", "r2+s3+q4"])
+    def test_factor_eigenvalues_per_row(self, spec, rng):
+        alg = AlgebraDescriptor.from_spec(spec)
+        rows = [random_element(alg, rng, scale) for scale in (1e-3, 1.0, 30.0)]
+        rows += [zero(alg), identity(alg)]  # spin rows with zero radius
+        for j, factor in enumerate(alg.factors):
+            stack = np.stack([x.blocks[j] for x in rows])
+            got = _stacked_eigenvalues(factor, stack)
+            for row, x in zip(got, rows):
+                assert row.tobytes() == _factor_eigenvalues(factor, x.blocks[j]).tobytes()
 
 
 def _numpy_jacobi_reference(mat, tol=1e-12, max_sweeps=30):

@@ -34,6 +34,7 @@ from conedp.harness.instances import (
     instance_to_dict,
     load_instance,
     save_instance,
+    unpack_element,
 )
 from conedp.harness.runner import (
     CSV_COLUMNS,
@@ -95,6 +96,47 @@ class TestInstanceIO:
         path.write_text(json.dumps(payload))  # json writes NaN and Infinity
         with pytest.raises(ValueError, match=message):
             load_instance(path)
+
+    @pytest.mark.parametrize("spec", ["r2+s3+q4", "s1", "s5", "s2+s4"])
+    def test_loaded_blocks_match_unpack_element(self, spec):
+        inst, meta = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 7, 0.0, seed=2)
+        payload = json.loads(json.dumps(instance_to_dict(inst, meta)))
+        loaded, _ = instance_from_dict(payload)
+        for a, packed in zip(loaded.constraints, payload["constraints"]):
+            want = unpack_element(loaded.algebra, packed)
+            assert len(a.blocks) == len(want.blocks)
+            for got_block, want_block in zip(a.blocks, want.blocks):
+                assert got_block.shape == want_block.shape
+                assert got_block.tobytes() == want_block.tobytes()
+                assert not got_block.flags.writeable
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda rows: 5, "constraints must be a list of rows, got int$"),
+            (lambda rows: [], "at least one constraint"),
+            (lambda rows: rows[:1] + [7] + rows[2:],
+             "constraint row 1: expected a list of 3 blocks, got int$"),
+            (lambda rows: rows[:2] + [rows[2][:2]],
+             "constraint row 2: expected a list of 3 blocks, got 2$"),
+            (lambda rows: rows[:1] + [[rows[1][0], rows[1][1][:5], rows[1][2]]] + rows[2:],
+             "constraint row 1: packed s3 block needs 6 entries, got 5$"),
+            (lambda rows: rows[:2] + [[rows[2][0], rows[2][1], 0.5]],
+             "constraint row 2: packed q4 block needs 4 entries, got float$"),
+            (lambda rows: [[["a", 1.0], rows[0][1], rows[0][2]]] + rows[1:],
+             "constraint r2 blocks must hold numbers"),
+            (lambda rows: [[[[1.0], [2.0]], rows[0][1], rows[0][2]]] + rows[1:],
+             "constraint r2 blocks must hold numbers"),
+        ],
+        ids=["not-a-list", "empty", "row-not-a-list", "block-count", "packed-length",
+             "block-not-a-list", "non-number", "nested"],
+    )
+    def test_malformed_constraints_are_named(self, mutate, message):
+        inst, meta = generate_feasible_scp(MIXED, 3, 0.0, seed=1)
+        payload = instance_to_dict(inst, meta)
+        payload["constraints"] = mutate(payload["constraints"])
+        with pytest.raises(ValueError, match=message):
+            instance_from_dict(payload)
 
     def test_file_is_json_with_spec_string(self, tmp_path):
         inst, meta = generate_feasible_scp(MIXED, 2, 0.0, seed=1)
@@ -328,6 +370,37 @@ class TestCli:
         assert result.exit_code == 1
         assert not isinstance(result.exception, KeyError)
         assert "Error:" in result.output and "missing field(s): b" in result.output
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda rows: 5, "constraints must be a list of rows, got int"),
+            (lambda rows: rows[:3] + [2.0], "constraint row 3: expected a list of 1 blocks"),
+            (lambda rows: rows[:1] + [[rows[1][0][:2]]] + rows[2:],
+             "constraint row 1: packed s2 block needs 3 entries, got 2"),
+        ],
+        ids=["not-a-list", "row-not-a-list", "packed-length"],
+    )
+    def test_malformed_constraints_is_exit_one(self, tmp_path, mutate, message):
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        payload = json.loads(inst_path.read_text())
+        payload["constraints"] = mutate(payload["constraints"])
+        inst_path.write_text(json.dumps(payload))
+        result = runner.invoke(
+            cli_main,
+            ["solve", "--instance", str(inst_path), "--solver", "nonprivate",
+             "--alpha", "0.5"],
+        )
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, TypeError)
+        assert "Error:" in result.output and message in result.output
 
     def test_usage_error_is_exit_one(self):
         runner = CliRunner()

@@ -33,6 +33,8 @@ from conedp.oracles import (
     violation_scores,
 )
 
+from conftest import random_element
+
 R2 = AlgebraDescriptor.real(2)
 R3 = AlgebraDescriptor.real(3)
 S2 = AlgebraDescriptor.sym(2)
@@ -339,6 +341,15 @@ class TestDualOracle:
         assert failures / trials <= gamma + 3 * se
 
 
+def wide_instance(spec, rng, m=40):
+    """Random rows over several scales, plus rows whose spin parts have zero
+    radius (multiples of the identity and zero)."""
+    alg = AlgebraDescriptor.from_spec(spec)
+    rows = [random_element(alg, rng, 10.0 ** (k % 5 - 2)) for k in range(m)]
+    rows += [identity(alg), zero(alg), -2.5 * identity(alg)]
+    return ScpInstance(alg, tuple(rows), np.zeros(len(rows)), zero(alg), ("LE",))
+
+
 class TestWidth:
     def test_examples(self):
         inst = covering_instance([identity(S2), identity(S2)], S2)
@@ -355,6 +366,24 @@ class TestWidth:
         inst = ScpInstance(mixed, (x,), np.array([0.0]), zero(mixed), ("LE",))
         # per-factor maxima: 1.5 on the vector part, 0.5 on the spin part
         assert inst.width == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("spec", ["r4", "s1", "s3", "s6", "q4", "r2+s3+q4", "s2+s5"])
+    def test_matches_per_row_norms_bit_for_bit(self, spec, rng):
+        inst = wide_instance(spec, rng)
+        assert inst.width == max(norm(a, math.inf) for a in inst.constraints)
+
+    def test_zero_radius_spin_rows(self):
+        q4 = AlgebraDescriptor.spin(4)
+        rows = tuple(c * identity(q4) for c in (0.5, -3.0, 2.0))
+        inst = ScpInstance(q4, rows, np.zeros(3), zero(q4), ("LE",))
+        assert inst.width == 3.0 == max(norm(a, math.inf) for a in rows)
+
+    @pytest.mark.parametrize("spec", ["r4", "s1", "s3", "q4", "r2+s3+q4", "s2+s5"])
+    def test_constraint_coords_match_to_coords(self, spec, rng):
+        inst = wide_instance(spec, rng)
+        want = np.stack([to_coords(a) for a in inst.constraints])
+        assert inst.constraint_coords.tobytes() == want.tobytes()
+        assert not inst.constraint_coords.flags.writeable
 
 
 class TestInstanceValidation:
