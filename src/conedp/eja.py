@@ -212,8 +212,9 @@ def _block_shape(factor: Factor) -> tuple[int, ...]:
 class EjaElement:
     """An element of an algebra, stored as per-factor coefficient blocks.
 
-    Symmetric-matrix blocks are symmetrized at construction, so stored
-    blocks always satisfy M == M.T exactly.  Blocks are read-only.
+    Symmetric-matrix blocks satisfy M == M.T exactly, bit for bit: an
+    exactly symmetric block is stored as given, any other is replaced by
+    0.5 * (M + M.T).  Blocks are read-only.
     """
 
     __slots__ = ("algebra", "blocks")
@@ -231,12 +232,24 @@ class EjaElement:
                 raise ValueError(
                     f"block shape {b.shape} does not match factor {factor.spec}"
                 )
-            if isinstance(factor, SymMatrix):
+            # averaging an exactly symmetric block is a no-op, except that
+            # b + b.T overflows entries above DBL_MAX / 2 to inf
+            if isinstance(factor, SymMatrix) and not _is_symmetric(b):
                 b = 0.5 * (b + b.T)
-            b.setflags(write=False)
             frozen.append(b)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        _freeze(self, algebra, frozen)
+
+    @classmethod
+    def _derived(cls, algebra: AlgebraDescriptor, blocks: list[np.ndarray]) -> "EjaElement":
+        """Wrap fresh blocks computed entrywise from exactly symmetric ones.
+
+        Sums, differences, negations and scalar multiples of exactly
+        symmetric blocks are exactly symmetric, so they are stored without
+        the copy, shape check and symmetrization of ``__init__``.
+        """
+        x = object.__new__(cls)
+        _freeze(x, algebra, blocks)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("EjaElement is immutable")
@@ -253,22 +266,22 @@ class EjaElement:
 
     def __add__(self, other: "EjaElement") -> "EjaElement":
         self._check_same(other)
-        return EjaElement(
+        return EjaElement._derived(
             self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __sub__(self, other: "EjaElement") -> "EjaElement":
         self._check_same(other)
-        return EjaElement(
+        return EjaElement._derived(
             self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __neg__(self) -> "EjaElement":
-        return EjaElement(self.algebra, [-a for a in self.blocks])
+        return EjaElement._derived(self.algebra, [-a for a in self.blocks])
 
     def __mul__(self, scalar) -> "EjaElement":
         s = float(scalar)
-        return EjaElement(self.algebra, [s * a for a in self.blocks])
+        return EjaElement._derived(self.algebra, [s * a for a in self.blocks])
 
     __rmul__ = __mul__
 
@@ -277,6 +290,19 @@ class EjaElement:
 
     def __repr__(self) -> str:
         return f"EjaElement({self.algebra.spec})"
+
+
+def _is_symmetric(b: np.ndarray) -> bool:
+    """M == M.T bit for bit, so signed zeros and NaN payloads must match too."""
+    bits = b.view(np.uint64)
+    return bool((bits == bits.T).all())
+
+
+def _freeze(x: EjaElement, algebra: AlgebraDescriptor, blocks: list[np.ndarray]) -> None:
+    for b in blocks:
+        b.setflags(write=False)
+    object.__setattr__(x, "algebra", algebra)
+    object.__setattr__(x, "blocks", tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -373,17 +399,107 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 
 
-def _offdiag_norm(rows: list[list[float]], pairs: tuple[tuple[int, int], ...]) -> float:
-    # plain loops, not sum(): sum() compensates its rounding from Python 3.12 on
+_PairPlan = tuple[tuple[int, int, tuple[int, ...]], ...]
+_PAIR_PLANS: dict[int, _PairPlan] = {}
+
+
+def _pair_plan(n: int) -> _PairPlan:
+    """Row-major pairs (p, q), p < q, each with the other indices r."""
+    plan = _PAIR_PLANS.get(n)
+    if plan is None:
+        plan = _PAIR_PLANS[n] = tuple(
+            (p, q, tuple(r for r in range(n) if r != p and r != q))
+            for p, q in itertools.combinations(range(n), 2)
+        )
+    return plan
+
+
+def _offdiag_norm(rows: list[list[float]], plan: _PairPlan) -> float:
+    # plain loop, not sum(): sum() compensates its rounding from Python 3.12 on.
+    # The lower triangle's sum is the same sequence of squares as the upper's.
     upper = 0.0
-    for p, q in pairs:
+    for p, q, _ in plan:
         x = rows[p][q]
         upper += x * x
-    lower = 0.0
-    for p, q in pairs:
-        x = rows[q][p]
-        lower += x * x
-    return math.sqrt(upper + lower)
+    return math.sqrt(upper + upper)
+
+
+def _jacobi_lists(
+    mat: np.ndarray, tol: float, max_sweeps: int, vectors: bool
+) -> tuple[list[float], list[list[float]] | None]:
+    """:func:`_jacobi_eigh` as float lists: the eigenvalues in descending
+    order and, when ``vectors``, the matching unit eigenvectors, one list
+    each."""
+    a = np.array(mat, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return [float(a[0, 0])], [[1.0]] if vectors else None
+    with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
+        scale = float(np.linalg.norm(a))
+    if not math.isfinite(scale) and not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite values (NaN or inf)")
+    if not _is_symmetric(a):
+        raise ValueError("matrix is not exactly symmetric")
+    if not math.isfinite(scale):
+        exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
+        vals, vecs = _jacobi_lists(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
+        return np.ldexp(vals, exponent).tolist(), vecs
+    thresh = tol * max(1.0, scale)
+    rows = a.tolist()
+    # eigenvector columns, stored as rows so each rotation is two list builds
+    vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
+    plan = _pair_plan(n)
+    off = _offdiag_norm(rows, plan)
+    sweeps = 0
+    while off > thresh:
+        if sweeps >= max_sweeps:
+            raise JacobiConvergenceError(off, sweeps)
+        for p, q, others in plan:
+            row_p = rows[p]
+            row_q = rows[q]
+            apq = row_p[q]
+            if apq == 0.0:
+                continue
+            app = row_p[p]
+            aqq = row_q[q]
+            theta = (aqq - app) / (2.0 * apq)
+            if abs(theta) > 1e150:  # theta**2 would overflow; use the limit
+                t = 0.5 / theta
+            else:
+                sign = 1.0 if theta >= 0.0 else -1.0
+                t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            # row r's column update c*a[r][p] - s*a[r][q] is, by symmetry,
+            # the row update of a[p][r]: one value for both places
+            for r in others:
+                row_r = rows[r]
+                x = row_r[p]
+                y = row_r[q]
+                row_r[p] = row_p[r] = c * x - s * y
+                row_r[q] = row_q[r] = s * x + c * y
+            # the diagonal takes the column update, then the row update
+            col_pp = c * app - s * apq
+            col_pq = s * app + c * apq
+            col_qp = c * apq - s * aqq
+            col_qq = s * apq + c * aqq
+            row_p[p] = c * col_pp - s * col_qp
+            row_q[q] = s * col_pq + c * col_qq
+            row_p[q] = 0.0
+            row_q[p] = 0.0
+            if vt is not None:
+                vp = vt[p]
+                vq = vt[q]
+                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+        sweeps += 1
+        off = _offdiag_norm(rows, plan)
+    diag = [rows[i][i] for i in range(n)]
+    # stable, like np.argsort(-diag, kind="stable"); finite input keeps the
+    # diagonal finite, so no NaN reaches the comparison
+    order = sorted(range(n), key=diag.__getitem__, reverse=True)
+    vals = [diag[i] for i in order]
+    return vals, [vt[i] for i in order] if vt is not None else None
 
 
 def _jacobi_eigh(
@@ -392,20 +508,25 @@ def _jacobi_eigh(
     max_sweeps: int = _JACOBI_MAX_SWEEPS,
     vectors: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+    """Cyclic Jacobi diagonalization of an exactly symmetric matrix.
 
     Sweeps rotate every off-diagonal pair in a fixed row-major order until
     the off-diagonal Frobenius norm falls below ``tol * max(1, ||A||_F)``:
     relative to the matrix scale at or above unit norm, absolute below it.
-    Deterministic: no pivot search, no randomness.
+    Deterministic: no pivot search, no randomness.  Returns the eigenvalues
+    in descending order (ties keep diagonal order) and the eigenvectors as
+    columns.
 
-    The sweeps run on Python float lists: each rotation updates columns p
-    and q, then rows p and q, zeroes a[p][q] and a[q][p], then rotates the
-    eigenvector columns, one IEEE multiply and add per entry.  That is the
-    arithmetic of the earlier numpy slice loop, so eigenvalues and vectors
-    are bit-identical to it (``tests/test_golden.py`` pins them, and
-    ``tests/test_eja.py`` compares against that loop).  The one
-    sum that differs is the convergence test's off-diagonal norm, summed
+    The sweeps run on Python float lists.  A rotation of pair (p, q) is the
+    arithmetic of the earlier numpy slice loop, which updated columns p and
+    q, then rows p and q, then zeroed a[p][q] and a[q][p]: on an exactly
+    symmetric matrix the column update of a[r][p], r not in {p, q}, is the
+    same IEEE expression as the row update of a[p][r], so it is computed
+    once and written to both, and only a[p][p] and a[q][q] take the two
+    stages.  The matrix stays exactly symmetric, so eigenvalues and vectors
+    are bit-identical to that loop (``tests/test_golden.py`` pins them, and
+    ``tests/test_eja.py`` compares against the loop).  The one sum that
+    differs is the convergence test's off-diagonal norm, summed
     sequentially here where the numpy loop used a BLAS dot; a last-bit
     difference there could only change the sweep count if the norm landed
     within an ulp of the threshold.
@@ -413,67 +534,11 @@ def _jacobi_eigh(
     When the Frobenius norm of a finite matrix overflows, the threshold
     would be infinite and no sweep would run.  Only then, the same sweeps
     run on the matrix scaled by an exact power of two, and the eigenvalues
-    are scaled back.  A matrix holding NaN or inf raises ValueError.
+    are scaled back.  A matrix holding NaN or inf, or one that is not
+    exactly symmetric (bit for bit), raises ValueError.
     """
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy(), np.eye(1) if vectors else None
-    with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
-        scale = float(np.linalg.norm(a))
-    if not math.isfinite(scale):
-        if not np.isfinite(a).all():
-            raise ValueError("matrix contains non-finite values (NaN or inf)")
-        exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
-        vals, vecs = _jacobi_eigh(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
-        return np.ldexp(vals, exponent), vecs
-    thresh = tol * max(1.0, scale)
-    rows = a.tolist()
-    # eigenvector columns, stored as rows so each rotation is two list builds
-    vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
-    pairs = tuple(itertools.combinations(range(n), 2))  # (p, q), p < q, row-major
-    off = _offdiag_norm(rows, pairs)
-    sweeps = 0
-    while off > thresh:
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(off, sweeps)
-        for p, q in pairs:
-            row_p = rows[p]
-            row_q = rows[q]
-            apq = row_p[q]
-            if apq == 0.0:
-                continue
-            theta = (row_q[q] - row_p[p]) / (2.0 * apq)
-            if abs(theta) > 1e150:  # theta**2 would overflow; use the limit
-                t = 0.5 / theta
-            else:
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for row in rows:
-                x = row[p]
-                y = row[q]
-                row[p] = c * x - s * y
-                row[q] = s * x + c * y
-            new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
-            new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
-            new_p[q] = 0.0
-            new_q[p] = 0.0
-            rows[p] = new_p
-            rows[q] = new_q
-            if vt is not None:
-                vp = vt[p]
-                vq = vt[q]
-                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
-        sweeps += 1
-        off = _offdiag_norm(rows, pairs)
-    vals = np.array([rows[i][i] for i in range(n)])
-    order = np.argsort(-vals, kind="stable")
-    if vt is None:
-        return vals[order], None
-    return vals[order], np.array(vt).T[:, order]
+    vals, vecs = _jacobi_lists(mat, tol, max_sweeps, vectors)
+    return np.array(vals), np.array(vecs).T if vecs is not None else None
 
 
 def _rotate_stacked(a: np.ndarray, p: int, q: int) -> None:
@@ -613,13 +678,15 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     return vals[np.argsort(-vals, kind="stable")]
 
 
-def _spectral_entries(x: EjaElement) -> list[tuple[float, int, np.ndarray]]:
-    """(eigenvalue, factor index, idempotent block) sorted descending.
+def _spectral_entries(x: EjaElement) -> list[tuple[float, int, object]]:
+    """(eigenvalue, factor index, frame data) sorted descending.
 
-    The block is the frame element's coefficients within its own factor;
-    ties keep factor order (the sort is stable).
+    The frame data is the frame element's coefficients within its own
+    factor, except in a symmetric factor, where it is the unit eigenvector
+    u as a float list and the coefficients are u u^T.  Ties keep factor
+    order (the sort is stable).
     """
-    entries: list[tuple[float, int, np.ndarray]] = []
+    entries: list[tuple[float, int, object]] = []
     for idx, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
         if isinstance(f, RealVector):
             for i in range(f.k):
@@ -627,10 +694,8 @@ def _spectral_entries(x: EjaElement) -> list[tuple[float, int, np.ndarray]]:
                 basis[i] = 1.0
                 entries.append((float(b[i]), idx, basis))
         elif isinstance(f, SymMatrix):
-            vals, vecs = _jacobi_eigh(b)
-            for i in range(f.r):
-                u = vecs[:, i]
-                entries.append((float(vals[i]), idx, np.outer(u, u)))
+            vals, vecs = _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, True)
+            entries.extend(zip(vals, itertools.repeat(idx), vecs))
         else:
             radius = float(np.linalg.norm(b[1:]))
             if radius > 0.0:
@@ -658,9 +723,9 @@ def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     alg = x.algebra
     entries = _spectral_entries(x)
     frame = []
-    for _, idx, block in entries:
+    for _, idx, data in entries:
         blocks = [np.zeros(_block_shape(f)) for f in alg.factors]
-        blocks[idx] = block
+        blocks[idx] = np.outer(data, data) if isinstance(alg.factors[idx], SymMatrix) else data
         frame.append(EjaElement(alg, blocks))
     return SpectralDecomposition(np.array([e[0] for e in entries]), tuple(frame))
 
@@ -671,17 +736,36 @@ def _spectral_apply(
     """sum w_i q_i with w = weights_of(descending spectrum), no frame built.
 
     Each w_i q_i is added into its own factor's block only, as sequential
-    rank-one updates in descending eigenvalue order.  For finite weights
-    the sums match a recombination over the full frame bit for bit: the
-    skipped terms are the frame's zero blocks, and adding w * 0.0 changes
-    nothing.
+    rank-one updates in descending eigenvalue order.  A symmetric block is
+    summed in Python floats over its upper triangle, entry (p, q) taking
+    acc + w * (u_p * u_q), and then mirrored: the arithmetic of
+    ``acc += w * np.outer(u, u)``, and u_q * u_p == u_p * u_q exactly.  For
+    finite weights the sums match a recombination over the full frame bit
+    for bit: the skipped terms are the frame's zero blocks, and adding
+    w * 0.0 changes nothing.
     """
     entries = _spectral_entries(x)
     weights = weights_of(np.array([e[0] for e in entries]))
-    blocks = [np.zeros(_block_shape(f)) for f in x.algebra.factors]
-    for w, (_, idx, block) in zip(weights, entries):
-        blocks[idx] += w * block
-    return EjaElement(x.algebra, blocks)
+    blocks: list = [
+        [[0.0] * f.r for _ in range(f.r)] if isinstance(f, SymMatrix) else np.zeros(f.dim)
+        for f in x.algebra.factors
+    ]
+    for w, (_, idx, data) in zip(weights.tolist(), entries):
+        acc = blocks[idx]
+        if isinstance(acc, list):
+            for p, row in enumerate(acc):
+                up = data[p]
+                for q in range(p, len(row)):
+                    row[q] = row[q] + w * (up * data[q])
+        else:
+            acc += w * data
+    for idx, acc in enumerate(blocks):
+        if isinstance(acc, list):
+            for p, row in enumerate(acc):
+                for q in range(p):
+                    row[q] = acc[q][p]
+            blocks[idx] = np.array(acc)
+    return EjaElement._derived(x.algebra, blocks)
 
 
 def expm(x: EjaElement) -> EjaElement:

@@ -205,6 +205,13 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     holds its candidate wins.  Adjacent windows overlap by the slack, so the
     first-fit rule (not a sorted search) decides between them; this is the
     arithmetic and the choice of a walk over the segments in order.
+
+    Subnormal-scale weights can overflow 1/F_f or c_j.  Only then, the
+    same steps run on the weights scaled by the power of two 2**k that
+    centres the exponents of the smallest and largest positive weight on
+    zero, k = -((e_min + e_max) // 2) with e from ``np.frexp``, and with
+    the slack and the bisection's absolute terms scaled by 2**-k: the
+    arithmetic of the unscaled steps, without the overflow.
     """
     if s < 1:
         raise ValueError(f"density parameter must be >= 1, got {s}")
@@ -217,23 +224,50 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     if positive.size == s:
         probs = np.where(w > 0.0, 1.0 / s, 0.0)
         return DenseDistribution(probs, s)
+    return DenseDistribution(_first_fit(w, positive, s), s)
 
+
+# 1/F_f and every |c_j| are at most max(s, n) / min F for n positive weights,
+# so a smallest weight above max(s, n) * 2**-1023 cannot overflow them
+_OVERFLOW_FREE = 2.0**-1023
+
+
+def _quotients_overflow(desc: np.ndarray, s: int) -> bool:
+    with np.errstate(over="ignore"):
+        tails = np.cumsum(desc[::-1])[::-1]
+        c = np.arange(s, s - desc.size, -1) / tails
+        return bool(np.isinf(1.0 / desc[-1]) or np.isinf(c).any())
+
+
+def _first_fit(
+    w: np.ndarray, positive: np.ndarray, s: int, unit: float = 1.0
+) -> np.ndarray:
+    """The probabilities of :func:`bregman_project` for more than s positive
+    weights.  ``unit`` is 1 in the scale of c: the window slack and the
+    bisection's absolute terms are multiples of it (1.0 unless the weights
+    were rescaled)."""
     desc = np.sort(positive)[::-1]
+    if desc[-1] <= max(s, desc.size) * _OVERFLOW_FREE and _quotients_overflow(desc, s):
+        e_min, e_max = np.frexp([desc[-1], desc[0]])[1].tolist()
+        k = -((e_min + e_max) // 2)
+        with np.errstate(over="ignore"):  # c * w past DBL_MAX saturates at 1
+            return _first_fit(np.ldexp(w, k), np.ldexp(positive, k), s, math.ldexp(unit, -k))
     # segment j: top j entries saturated at 1, the rest still linear in c.
     # tails[j] = sum desc[j:] is a rounded sum of positive weights, so it is
     # at least its largest term and never zero.
     tails = np.cumsum(desc[::-1])[::-1]
     c = np.arange(s, s - desc.size, -1) / tails
     upper = 1.0 / desc  # segment j ends where entry j saturates
-    stop = c <= upper + 1e-12
+    slack = 1e-12 * unit
+    stop = c <= upper + slack
     # segment j starts where entry j - 1 saturates; segment 0 starts at 0,
     # a bound every positive c_0 meets
-    stop[1:] &= upper[:-1] - 1e-12 <= c[1:]
+    stop[1:] &= upper[:-1] - slack <= c[1:]
     j = int(stop.argmax())
     if stop[j]:
         c_star = max(c[j], 0.0)
     else:
-        lo, hi = 0.0, s / max(positive.sum(), 1e-300) + 1.0
+        lo, hi = 0.0, s / max(positive.sum(), 1e-300) + unit
         while _dense_mass(hi, w) < s:
             hi *= 2.0
         for _ in range(200):
@@ -242,11 +276,10 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
+            if hi - lo <= 1e-12 * max(unit, hi):
                 break
         c_star = hi
-    probs = np.minimum(1.0, c_star * w) / s
-    return DenseDistribution(probs, s)
+    return np.minimum(1.0, c_star * w) / s
 
 
 def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:

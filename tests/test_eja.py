@@ -67,6 +67,27 @@ class TestDescriptors:
         assert np.array_equal(x.blocks[0], x.blocks[0].T)
         assert x.blocks[0][0, 1] == 1.0
 
+    def test_huge_symmetric_entries_stay_finite(self):
+        # 0.5 * (b + b.T) overflowed entries above DBL_MAX / 2 to inf
+        for big in (1e308, -1.7e308, np.finfo(float).max):
+            block = np.array([[big, 0.0], [0.0, 1.0]])
+            x = EjaElement(S2, [block])
+            assert x.blocks[0].tobytes() == block.tobytes()
+        off = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        assert EjaElement(S2, [off]).blocks[0].tobytes() == off.tobytes()
+
+    def test_construction_keeps_the_averaged_bits(self):
+        # every block whose averaged result is finite keeps those bits
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((3, 3)) * scale for scale in (1e-300, 1.0, 1e300)]
+        blocks += [g + g.T for g in blocks]
+        blocks.append(np.array([[1.0, 0.0, -0.0], [-0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]))
+        blocks.append(np.array([[1.0, -0.0, 0.0], [-0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]))
+        for b in blocks:
+            want = 0.5 * (b + b.T)
+            got = EjaElement(S3, [b]).blocks[0]
+            assert got.tobytes() == want.tobytes()
+
 
 class TestIdentityAndProduct:
     def test_identity_blocks(self):
@@ -281,6 +302,16 @@ class TestJacobiEdgeCases:
         with pytest.raises(ValueError, match="non-finite"):
             _jacobi_eigh(np.array([[bad, 0.0], [0.0, 2.0]]))
 
+    def test_not_exactly_symmetric_raises(self):
+        near = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]])
+        signed_zero = np.array([[1.0, 0.0, 0.5], [-0.0, 2.0, 0.0], [0.5, 0.0, 3.0]])
+        for mat in (near, signed_zero):
+            for vectors in (False, True):
+                with pytest.raises(ValueError, match="not exactly symmetric"):
+                    _jacobi_eigh(mat, vectors=vectors)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            _jacobi_eigh(1e160 * near)  # the overflowing-norm path checks too
+
     def test_sweep_limit_still_raises(self):
         mat = _jacobi_edge_matrices()["scaled-up"]
         with pytest.raises(JacobiConvergenceError) as err:
@@ -445,6 +476,30 @@ class TestBitIdentityReferences:
             got = expm(x)
             for a, b in zip(got.blocks, ref.blocks):
                 assert np.array_equal(a, b)
+
+
+class TestDerivedElements:
+    @pytest.mark.parametrize("name", sorted(FACTOR_ALGEBRAS))
+    def test_arithmetic_is_read_only_and_matches_construction(self, name, rng):
+        alg = FACTOR_ALGEBRAS[name]
+        for scale in (1e-3, 1.0, 1e150):
+            x = random_element(alg, rng, scale)
+            y = random_element(alg, rng, scale)
+            results = {
+                "add": (x + y, [a + b for a, b in zip(x.blocks, y.blocks)]),
+                "sub": (x - y, [a - b for a, b in zip(x.blocks, y.blocks)]),
+                "neg": (-x, [-a for a in x.blocks]),
+                "mul": (x * -0.37, [-0.37 * a for a in x.blocks]),
+                "rmul": (3.0 * y, [3.0 * a for a in y.blocks]),
+                "div": (x / 7.0, [(1.0 / 7.0) * a for a in x.blocks]),
+            }
+            for op, (got, raw) in results.items():
+                want = EjaElement(alg, raw)
+                for g, w, r in zip(got.blocks, want.blocks, raw):
+                    assert not g.flags.writeable, op
+                    assert g.tobytes() == w.tobytes() == r.tobytes(), op
+                    for src in x.blocks + y.blocks:
+                        assert not np.shares_memory(g, src), op
 
 
 class TestExp:

@@ -12,8 +12,10 @@ from conedp.eja import (
     identity,
     min_eigenvalue,
     norm,
+    spectral_decompose,
     to_coords,
     trace,
+    zero,
 )
 from conedp.mechanisms import RandomSource
 from conedp.mwu import (
@@ -28,7 +30,7 @@ from conedp.mwu import (
     dense_mwu_step,
     uniform_measure,
 )
-from conedp.mwu import _dense_mass
+from conedp.mwu import _dense_mass, _first_fit
 
 from conftest import random_element_inf_bounded
 
@@ -100,6 +102,38 @@ class TestConeStep:
         state = cone_mwu_init(R2, 1.0)
         with pytest.raises(ValueError):
             cone_mwu_step(state, rvec(R2, [math.inf, 0.0]))
+
+
+def _frame_cone_step(state, loss):
+    """The cone step rebuilt from constructed elements and a full Jordan
+    frame: exp(-eta * cumulative) shifted by its top eigenvalue, normalized,
+    and summed over every frame element's blocks."""
+    alg = state.algebra
+    cumulative = EjaElement(alg, [a + b for a, b in zip(state.cumulative_loss.blocks, loss.blocks)])
+    d = spectral_decompose(EjaElement(alg, [-state.eta * b for b in cumulative.blocks]))
+    weights = np.exp(d.eigenvalues - d.eigenvalues[0])
+    weights /= weights.sum()
+    blocks = [np.zeros_like(b) for b in zero(alg).blocks]
+    for w, q in zip(weights, d.frame):
+        for acc, qb in zip(blocks, q.blocks):
+            acc += w * qb
+    return cumulative, EjaElement(alg, blocks)
+
+
+class TestConeStepReference:
+    @pytest.mark.parametrize("spec", ["s3", "s8", "r2+s3+q4"])
+    def test_iterates_match_frame_step_bit_for_bit(self, spec, rng):
+        alg = AlgebraDescriptor.from_spec(spec)
+        state = cone_mwu_init(alg, 0.05)
+        for _ in range(200):
+            loss = random_element_inf_bounded(alg, rng, 1.0)
+            want_cumulative, want_iterate = _frame_cone_step(state, loss)
+            state = cone_mwu_step(state, loss)
+            for got, want in zip(state.cumulative_loss.blocks, want_cumulative.blocks):
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(state.iterate.blocks, want_iterate.blocks):
+                assert not got.flags.writeable
+                assert got.tobytes() == want.tobytes()
 
 
 class TestConeRegret:
@@ -313,6 +347,41 @@ class TestBregmanLoopReference:
                     assert got.tobytes() == want.tobytes(), (m, s)
         # s one past the positive count is infeasible for every measure
         assert infeasible == 10
+
+
+class TestBregmanOverflow:
+    # weights below about 5.6e-309 overflowed 1 / F_f and the candidates c_j
+    CASES = {
+        "all-subnormal": (np.full(10, 1e-310), np.full(10, 0.1)),
+        "mixed-scale": (np.array([0.5] + [1e-310] * 9), np.array([1 / 3] + [2 / 27] * 9)),
+        "ramp": (np.arange(5.0) * 1e-310, np.array([0.0, 1 / 9, 2 / 9, 1 / 3, 1 / 3])),
+        "smallest-subnormal": (
+            np.array([1.0, 1.0] + [5e-324] * 9), np.array([1 / 3] * 2 + [1 / 27] * 9)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_projects_the_rescaled_measure(self, name):
+        weights, expected = self.CASES[name]
+        got = bregman_project(DenseMeasure(weights), 3).probabilities
+        positive = weights[weights > 0.0]
+        e_min = np.frexp(positive.min())[1]
+        e_max = np.frexp(positive.max())[1]
+        k = -((int(e_min) + int(e_max)) // 2)
+        with np.errstate(over="ignore"):  # c * w may pass DBL_MAX; min(1, inf) is 1
+            want = _first_fit(np.ldexp(weights, k), np.ldexp(positive, k), 3, 2.0**-k)
+        assert got.tobytes() == want.tobytes()
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_near_overflow_weights_keep_the_loop_bits(self):
+        # the smallest weight is within max(s, m) * 2**-1023 of zero, so the
+        # overflow check runs, but nothing overflows: the usual arithmetic
+        for weights in ([0.5, 1e-308, 1.5e-308], [0.9, 0.2, 2e-308, 3e-308, 1e-300]):
+            w = np.array(weights)
+            for s in (1, 2):
+                want = _loop_bregman_reference(w, s).probabilities
+                got = bregman_project(DenseMeasure(w), s).probabilities
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDenseStep:
