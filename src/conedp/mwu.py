@@ -228,8 +228,9 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
 
 
 # 1/F_f and every |c_j| are at most max(s, n) / min F for n positive weights,
-# so a smallest weight above max(s, n) * 2**-1023 cannot overflow them
-_OVERFLOW_FREE = 2.0**-1023
+# and max(s, n) < 2**53, so a smallest weight of at least 2**-970 cannot
+# overflow them
+_OVERFLOW_FREE = 2.0**-970
 
 
 def _quotients_overflow(desc: np.ndarray, s: int) -> bool:
@@ -247,7 +248,7 @@ def _first_fit(
     bisection's absolute terms are multiples of it (1.0 unless the weights
     were rescaled)."""
     desc = np.sort(positive)[::-1]
-    if desc[-1] <= max(s, desc.size) * _OVERFLOW_FREE and _quotients_overflow(desc, s):
+    if desc.item(-1) < _OVERFLOW_FREE and _quotients_overflow(desc, s):
         e_min, e_max = np.frexp([desc[-1], desc[0]])[1].tolist()
         k = -((e_min + e_max) // 2)
         with np.errstate(over="ignore"):  # c * w past DBL_MAX saturates at 1

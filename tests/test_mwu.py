@@ -374,8 +374,8 @@ class TestBregmanOverflow:
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_near_overflow_weights_keep_the_loop_bits(self):
-        # the smallest weight is within max(s, m) * 2**-1023 of zero, so the
-        # overflow check runs, but nothing overflows: the usual arithmetic
+        # the smallest weight is below 2**-970, so the overflow check runs,
+        # but nothing overflows: the usual arithmetic
         for weights in ([0.5, 1e-308, 1.5e-308], [0.9, 0.2, 2e-308, 3e-308, 1e-300]):
             w = np.array(weights)
             for s in (1, 2):
