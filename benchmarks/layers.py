@@ -7,11 +7,14 @@ one criterion-09 exact solve (planted S3, m = 32, alpha = 0.1).  Inputs
 come from fixed seeds.  The script imports ``conedp`` from the checkout it
 sits in, so a copy of it in another checkout times that checkout.
 
-    python benchmarks/layers.py --out run.json
-    python benchmarks/layers.py --out BENCH_6.json --baseline parent.json
+    python benchmarks/layers.py --label parent --out a.json
+    python benchmarks/layers.py --label change --baseline a.json --out b.json
+    python benchmarks/layers.py --label parent --baseline b.json --out c.json
 
-With ``--baseline``, the output holds the baseline's cases and machine
-facts beside this run's, and the per-case ratio this / baseline.
+With ``--baseline``, the output holds the earlier file's runs and this
+one, so alternating runs of two checkouts chain into one file.  It also
+holds each label's per-case median over its runs and, for two labels, the
+ratio of the second label's medians to the first's.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def main(argv=None) -> int:
         "--min-time", type=float, default=0.2, help="seconds per timeit repeat, at least"
     )
     parser.add_argument("--label", default="change", help="name of this run's side")
-    parser.add_argument("--baseline", type=Path, help="an earlier output to set beside this run")
+    parser.add_argument("--baseline", type=Path, help="an earlier output to extend")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -119,17 +122,20 @@ def main(argv=None) -> int:
         "unit": "s per call, median over repeats",
         "cases": cases(args.repeat, args.min_time),
     }
-    result = {"runs": [run]}
-    if args.baseline is not None:
-        base = json.loads(args.baseline.read_text())["runs"][-1]
-        result = {
-            "runs": [base, run],
-            "ratio": {
-                name: value / base["cases"][name]
-                for name, value in run["cases"].items()
-                if name in base["cases"]
-            },
+    runs = json.loads(args.baseline.read_text())["runs"] if args.baseline else []
+    runs.append(run)
+    labels = list(dict.fromkeys(r["label"] for r in runs))  # first-seen order
+    medians = {
+        label: {
+            name: statistics.median(r["cases"][name] for r in runs if r["label"] == label)
+            for name in run["cases"]
         }
+        for label in labels
+    }
+    result = {"runs": runs, "medians": medians}
+    if len(labels) == 2:
+        base, other = (medians[label] for label in labels)
+        result["ratio"] = {name: other[name] / base[name] for name in run["cases"]}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for name, value in run["cases"].items():
         ratio = result.get("ratio", {}).get(name)
