@@ -241,11 +241,9 @@ class EjaElement:
 
     @classmethod
     def _derived(cls, algebra: AlgebraDescriptor, blocks: list[np.ndarray]) -> "EjaElement":
-        """Wrap fresh blocks computed entrywise from exactly symmetric ones.
-
-        Sums, differences, negations and scalar multiples of exactly
-        symmetric blocks are exactly symmetric, so they are stored without
-        the copy, shape check and symmetrization of ``__init__``.
+        """Wrap exactly symmetric blocks without the copy, shape check and
+        symmetrization of ``__init__``: sums, differences, negations and
+        scalar multiples of such blocks, and rows of an instance's stacks.
         """
         x = object.__new__(cls)
         _freeze(x, algebra, blocks)
@@ -293,9 +291,10 @@ class EjaElement:
 
 
 def _is_symmetric(b: np.ndarray) -> bool:
-    """M == M.T bit for bit, so signed zeros and NaN payloads must match too."""
+    """M == M.T bit for bit, for M = b or every matrix of a stack b, so
+    signed zeros and NaN payloads must match too."""
     bits = b.view(np.uint64)
-    return bool((bits == bits.T).all())
+    return bool((bits == bits.swapaxes(-1, -2)).all())
 
 
 def _freeze(x: EjaElement, algebra: AlgebraDescriptor, blocks: list[np.ndarray]) -> None:

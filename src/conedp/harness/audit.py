@@ -14,7 +14,7 @@ healthy audit must flag them, otherwise it is vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,28 +118,13 @@ def audit_dual_oracle(
     trials: int,
     seed: int,
 ) -> AuditReport:
-    """Frequency audit of the private most-violated-constraint selection."""
-    rng = RandomSource(seed)
-    scores_a = violation_scores(instance, x)
-    scores_b = violation_scores(neighbor, x)
-    sample_a = exponential_mechanism_sample(
-        scores_a, sensitivity, epsilon, rng.substream(0), trials
+    """Frequency audit of the private most-violated-constraint selection,
+    which is the exponential mechanism on the two violation-score vectors."""
+    report = audit_exponential_mechanism(
+        violation_scores(instance, x), violation_scores(neighbor, x),
+        sensitivity, epsilon, trials, seed,
     )
-    sample_b = exponential_mechanism_sample(
-        scores_b, sensitivity, epsilon, rng.substream(1), trials
-    )
-    measured, slack, ok = audit_discrete_frequencies(
-        sample_a, sample_b, scores_a.size, epsilon, trials
-    )
-    return AuditReport(
-        mechanism="dual-oracle",
-        epsilon_declared=epsilon,
-        epsilon_measured=measured,
-        slack=slack,
-        passed=ok,
-        trials=trials,
-        details={"score_gap": float(np.max(np.abs(scores_a - scores_b)))},
-    )
+    return replace(report, mechanism="dual-oracle")
 
 
 def _phi(x: float) -> float:
@@ -202,13 +187,7 @@ def _canonical_dual_pair(sensitivity: float, gap: float):
     alg = AlgebraDescriptor.sym(2)
     instance, _ = generate_feasible_scp(alg, 6, 0.1, seed=2024)
     signs = np.where(np.arange(instance.num_constraints) % 2 == 0, 1.0, -1.0)
-    neighbor = ScpInstance(
-        algebra=instance.algebra,
-        constraints=instance.constraints,
-        scalars=instance.scalars + gap * signs,
-        objective=instance.objective,
-        senses=instance.senses,
-    )
+    neighbor = replace(instance, scalars=instance.scalars + gap * signs)
     x = identity(alg) / alg.rank
     return instance, neighbor, x
 

@@ -7,6 +7,7 @@ the returned metadata, so every published number can be regenerated.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -92,7 +93,7 @@ def generate_covering_sdp(
         constraints = tuple(e / r for _ in range(m))
         metadata["generator"] = "covering-sdp-analytic"
         metadata["planted_opt"] = float(r)
-        instance = ScpInstance(alg, constraints, np.ones(m), e, ("GE",) * m)
+        instance = ScpInstance.from_rows(alg, constraints, np.ones(m), e, ("GE",) * m)
         return instance, metadata
     rng = RandomSource(seed)
     constraints = []
@@ -110,7 +111,7 @@ def generate_covering_sdp(
     witness = witness / slack
     metadata["planted_opt"] = float(trace(witness))
     metadata["witness_coords"] = to_coords(witness).tolist()
-    instance = ScpInstance(alg, tuple(constraints), np.ones(m), e, ("GE",) * m)
+    instance = ScpInstance.from_rows(alg, constraints, np.ones(m), e, ("GE",) * m)
     return instance, metadata
 
 
@@ -135,11 +136,9 @@ def generate_feasible_scp(
     constraints = tuple(random_spectrum_bounded(alg, rng) for _ in range(m))
     # scalars go through the same matrix-vector path the violation check
     # uses, so a zero margin is exactly tight rather than off by rounding
-    draft = ScpInstance(alg, constraints, np.zeros(m), zero(alg), ("LE",) * m)
+    draft = ScpInstance.from_rows(alg, constraints, np.zeros(m), zero(alg), ("LE",) * m)
     values = draft.constraint_coords @ to_coords(witness)
-    instance = ScpInstance(
-        alg, constraints, values + margin, zero(alg), ("LE",) * m
-    )
+    instance = replace(draft, scalars=values + margin)
     metadata = {
         "generator": "feasible-scp",
         "seed": seed,

@@ -19,8 +19,6 @@ from conedp.oracles import ScpInstance
 
 __all__ = [
     "SCHEMA_VERSION",
-    "pack_element",
-    "unpack_element",
     "instance_to_dict",
     "instance_from_dict",
     "save_instance",
@@ -28,55 +26,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-def pack_element(x: EjaElement) -> list[list[float]]:
-    """Per-factor block lists; symmetric blocks packed upper-triangular."""
-    packed = []
-    for factor, block in zip(x.algebra.factors, x.blocks):
-        if isinstance(factor, SymMatrix):
-            iu, ju = np.triu_indices(factor.r)
-            packed.append(block[iu, ju].tolist())
-        else:
-            packed.append(block.tolist())
-    return packed
-
-
-def unpack_element(alg: AlgebraDescriptor, packed: list[list[float]]) -> EjaElement:
-    if not isinstance(packed, _SEQUENCES) or len(packed) != len(alg.factors):
-        raise ValueError(
-            f"expected a list of {len(alg.factors)} blocks, got {_describe(packed)}"
-        )
-    blocks = []
-    for factor, data in zip(alg.factors, packed):
-        arr = np.asarray(data, dtype=float)
-        if isinstance(factor, SymMatrix):
-            expected = factor.r * (factor.r + 1) // 2
-            if arr.shape != (expected,):
-                raise ValueError(
-                    f"packed symmetric block needs {expected} entries, got {arr.shape}"
-                )
-            m = np.zeros((factor.r, factor.r))
-            iu, ju = np.triu_indices(factor.r)
-            m[iu, ju] = arr
-            m[ju, iu] = arr
-            blocks.append(m)
-        else:
-            blocks.append(arr)
-    return EjaElement(alg, blocks)
-
-
-def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = None) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "algebra": instance.algebra.spec,
-        "constraints": [pack_element(a) for a in instance.constraints],
-        "b": instance.scalars.tolist(),
-        "c": pack_element(instance.objective),
-        "sense": list(instance.senses),
-        "metadata": dict(metadata or {}),
-    }
-
 
 _REQUIRED_FIELDS = ("algebra", "constraints", "b", "c", "sense")
 _SEQUENCES = (list, tuple, np.ndarray)
@@ -88,39 +37,48 @@ def _describe(value) -> str:
     return type(value).__name__
 
 
-def _constraint_stacks(alg: AlgebraDescriptor, rows) -> list[np.ndarray]:
-    """Each factor's blocks over all constraint rows as one (m, ...) array.
+def _pack_rows(alg: AlgebraDescriptor, stacks) -> list[list[list[float]]]:
+    """Rows of per-factor block lists from (m, *block shape) stacks; each
+    symmetric stack is packed upper-triangular with one fancy index."""
+    per_factor = []
+    for factor, stacked in zip(alg.factors, stacks):
+        if isinstance(factor, SymMatrix):
+            iu, ju = np.triu_indices(factor.r)
+            stacked = stacked[:, iu, ju]
+        per_factor.append(stacked.tolist())
+    return [list(row) for row in zip(*per_factor)]
 
-    Every row's block count and packed lengths are checked first, so a
-    malformed file names its first bad row; then each factor is read with
-    one ``np.array`` and symmetric blocks are unpacked with one scatter.
+
+def _read_rows(alg: AlgebraDescriptor, rows, field: str) -> list[np.ndarray]:
+    """Each factor's packed blocks over all rows as one (m, *block shape) array.
+
+    Every row's block count and packed lengths are checked first, so errors
+    name the ``field`` ("constraint" or "objective", which is one row) and
+    the first bad row; then each factor is read with one ``np.array`` and
+    symmetric blocks are unpacked with one scatter.
     """
-    if not isinstance(rows, _SEQUENCES):
-        raise ValueError(f"constraints must be a list of rows, got {_describe(rows)}")
-    if not len(rows):
-        raise ValueError("an instance needs at least one constraint")
     sizes = [f.dim for f in alg.factors]  # packed length of each block
     for i, row in enumerate(rows):
+        where = f"constraint row {i}" if field == "constraint" else field
         if not isinstance(row, _SEQUENCES) or len(row) != len(sizes):
             raise ValueError(
-                f"constraint row {i}: expected a list of {len(sizes)} blocks, "
-                f"got {_describe(row)}"
+                f"{where}: expected a list of {len(sizes)} blocks, got {_describe(row)}"
             )
         for factor, size, block in zip(alg.factors, sizes, row):
             if not isinstance(block, _SEQUENCES) or len(block) != size:
                 raise ValueError(
-                    f"constraint row {i}: packed {factor.spec} block needs "
+                    f"{where}: packed {factor.spec} block needs "
                     f"{size} entries, got {_describe(block)}"
                 )
     stacks = []
     for j, (factor, size) in enumerate(zip(alg.factors, sizes)):
         try:
             packed = np.array([row[j] for row in rows], dtype=float)
-        except (TypeError, ValueError) as exc:
-            message = f"constraint {factor.spec} blocks must hold numbers: {exc}"
+        except (TypeError, ValueError, OverflowError) as exc:
+            message = f"{field} {factor.spec} blocks must hold numbers: {exc}"
             raise ValueError(message) from None
         if packed.shape != (len(rows), size):
-            message = f"constraint {factor.spec} blocks must hold numbers, not lists"
+            message = f"{field} {factor.spec} blocks must hold numbers, not lists"
             raise ValueError(message)
         if isinstance(factor, SymMatrix):
             full = np.zeros((len(rows), factor.r, factor.r))
@@ -132,6 +90,19 @@ def _constraint_stacks(alg: AlgebraDescriptor, rows) -> list[np.ndarray]:
     return stacks
 
 
+def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = None) -> dict:
+    alg = instance.algebra
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "algebra": alg.spec,
+        "constraints": _pack_rows(alg, instance.blocks),
+        "b": instance.scalars.tolist(),
+        "c": _pack_rows(alg, [b[None] for b in instance.objective.blocks])[0],
+        "sense": list(instance.senses),
+        "metadata": dict(metadata or {}),
+    }
+
+
 def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -139,18 +110,33 @@ def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
     missing = [f for f in _REQUIRED_FIELDS if f not in data]
     if missing:
         raise ValueError(f"instance is missing field(s): {', '.join(missing)}")
-    alg = AlgebraDescriptor.from_spec(data["algebra"])
-    stacks = _constraint_stacks(alg, data["constraints"])
-    constraints = tuple(EjaElement(alg, blocks) for blocks in zip(*stacks))
-    objective = unpack_element(alg, data["c"])
+    spec, rows, senses = data["algebra"], data["constraints"], data["sense"]
+    metadata = data.get("metadata", {})
+    if not isinstance(spec, str):
+        raise ValueError(f"algebra must be a spec string, got {type(spec).__name__}")
+    if not isinstance(rows, _SEQUENCES):
+        raise ValueError(f"constraints must be a list of rows, got {_describe(rows)}")
+    if not len(rows):
+        raise ValueError("an instance needs at least one constraint")
+    if not isinstance(senses, _SEQUENCES):
+        raise ValueError(f"sense must be a list, got {_describe(senses)}")
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be an object, got {type(metadata).__name__}")
+    try:
+        scalars = np.array(data["b"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"b must be a list of numbers: {exc}") from None
+    alg = AlgebraDescriptor.from_spec(spec)
+    blocks = tuple(_read_rows(alg, rows, "constraint"))
+    objective = [stacked[0] for stacked in _read_rows(alg, [data["c"]], "objective")]
     instance = ScpInstance(
         algebra=alg,
-        constraints=constraints,
-        scalars=np.asarray(data["b"], dtype=float),
-        objective=objective,
-        senses=tuple(data["sense"]),
+        blocks=blocks,
+        scalars=scalars,
+        objective=EjaElement(alg, objective),
+        senses=tuple(senses),
     )
-    return instance, dict(data.get("metadata", {}))
+    return instance, dict(metadata)
 
 
 def save_instance(

@@ -23,7 +23,9 @@ from conedp.eja import (
     RealVector,
     SpinFactor,
     SymMatrix,
+    _block_shape,
     _factor_coords,
+    _is_symmetric,
     _stacked_eigenvalues,
     to_coords,
 )
@@ -53,75 +55,87 @@ _SENSES = ("LE", "GE")
 class ScpInstance:
     """A symmetric cone program: constraints, scalars, objective, senses.
 
-    Constraints read <a_i, x> <= b_i for sense "LE" and >= for "GE".  All
-    elements must live over the same algebra, and every scalar and
-    coefficient must be finite; construction raises ValueError otherwise.
+    Constraints read <a_i, x> <= b_i for sense "LE" and >= for "GE".  They
+    are one read-only stack per factor, shaped (m, *block shape), whose row
+    i is a_i (see :meth:`row` and :meth:`from_rows`).  Symmetric stacks must
+    be exactly symmetric, every number finite and the objective over the
+    same algebra; construction raises ValueError otherwise.
     """
 
     algebra: AlgebraDescriptor
-    constraints: tuple[EjaElement, ...]
+    blocks: tuple[np.ndarray, ...]
     scalars: np.ndarray
     objective: EjaElement
     senses: tuple[str, ...]
 
     def __post_init__(self):
-        constraints = tuple(self.constraints)
-        if not constraints:
+        factors = self.algebra.factors
+        blocks = tuple(np.array(s, dtype=float) for s in self.blocks)
+        if len(blocks) != len(factors):
+            raise ValueError(f"expected {len(factors)} constraint stacks, got {len(blocks)}")
+        m = len(blocks[0]) if blocks[0].ndim else 0
+        if m == 0:
             raise ValueError("an instance needs at least one constraint")
-        for a in constraints:
-            if a.algebra != self.algebra:
+        finite_rows = np.ones(m, dtype=bool)
+        for factor, stacked in zip(factors, blocks):
+            if stacked.shape != (m, *_block_shape(factor)):
                 raise ValueError(
-                    f"constraint over {a.algebra.spec} does not match instance "
-                    f"algebra {self.algebra.spec}"
+                    f"constraint {factor.spec} stack has shape {stacked.shape}, "
+                    f"expected {(m, *_block_shape(factor))}"
                 )
-        if self.objective.algebra != self.algebra:
-            raise ValueError("objective algebra does not match instance algebra")
-        b = np.array(self.scalars, dtype=float)
-        if b.shape != (len(constraints),):
-            raise ValueError(
-                f"scalar shape {b.shape} does not match {len(constraints)} constraints"
-            )
-        if not np.isfinite(b).all():
-            raise ValueError("scalars contain non-finite values (NaN or inf)")
-        # each factor's blocks stacked over the rows, shape (m, *block shape)
-        stacks = tuple(
-            np.stack([a.blocks[j] for a in constraints])
-            for j in range(len(self.algebra.factors))
-        )
-        finite_rows = np.ones(len(constraints), dtype=bool)
-        for stacked in stacks:
+            if isinstance(factor, SymMatrix) and not _is_symmetric(stacked):
+                raise ValueError(f"constraint {factor.spec} stack is not exactly symmetric")
+            finite_rows &= np.isfinite(stacked.reshape(m, -1)).all(axis=1)
             stacked.setflags(write=False)
-            finite_rows &= np.isfinite(stacked.reshape(len(constraints), -1)).all(axis=1)
         if not finite_rows.all():
             raise ValueError(
                 "constraints contain non-finite values (NaN or inf), "
                 f"first in row {int(np.argmin(finite_rows))}"
             )
+        if self.objective.algebra != self.algebra:
+            raise ValueError("objective algebra does not match instance algebra")
         if not all(np.isfinite(blk).all() for blk in self.objective.blocks):
             raise ValueError("objective contains non-finite values (NaN or inf)")
+        b = np.array(self.scalars, dtype=float)
+        if b.shape != (m,):
+            raise ValueError(f"scalar shape {b.shape} does not match {m} constraints")
+        if not np.isfinite(b).all():
+            raise ValueError("scalars contain non-finite values (NaN or inf)")
         b.setflags(write=False)
         senses = tuple(self.senses)
-        if len(senses) == 1 and len(constraints) > 1:
-            senses = senses * len(constraints)
-        if len(senses) != len(constraints):
+        if len(senses) == 1 and m > 1:
+            senses = senses * m
+        if len(senses) != m:
             raise ValueError("one sense per constraint required")
         for sense in senses:
             if sense not in _SENSES:
                 raise ValueError(f"sense must be LE or GE, got {sense!r}")
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "scalars", b)
         object.__setattr__(self, "senses", senses)
 
+    @classmethod
+    def from_rows(cls, algebra: AlgebraDescriptor, rows, scalars, objective, senses):
+        """An instance from one element per constraint, each over ``algebra``."""
+        rows = tuple(rows)
+        if any(a.algebra != algebra for a in rows):
+            raise ValueError(f"every constraint must live over {algebra.spec}")
+        stacks = [np.stack([a.blocks[j] for a in rows]) for j in range(len(algebra.factors))]
+        return cls(algebra, tuple(stacks), scalars, objective, senses)
+
+    def row(self, i: int) -> EjaElement:
+        """Constraint a_i as an element whose blocks are views of the stacks."""
+        return EjaElement._derived(self.algebra, [s[i] for s in self.blocks])
+
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.scalars)
 
     @cached_property
     def constraint_coords(self) -> np.ndarray:
         """Constraint elements as rows of orthonormal coordinates."""
         mat = np.concatenate(
-            [_factor_coords(f, s) for f, s in zip(self.algebra.factors, self._stacks)],
+            [_factor_coords(f, s) for f, s in zip(self.algebra.factors, self.blocks)],
             axis=1,
         )
         mat.setflags(write=False)
@@ -138,12 +152,12 @@ class ScpInstance:
     def width(self) -> float:
         """Width of the constraint system: the largest spectral inf-norm.
 
-        Equal bit for bit to ``max(norm(a, math.inf) for a in constraints)``,
+        Equal bit for bit to the largest ``norm(self.row(i), math.inf)``,
         with each factor's eigenvalues computed for all rows at once.
         """
         return max(
             float(np.abs(_stacked_eigenvalues(f, s)).max())
-            for f, s in zip(self.algebra.factors, self._stacks)
+            for f, s in zip(self.algebra.factors, self.blocks)
         )
 
     def violations(self, coords: np.ndarray) -> np.ndarray:

@@ -230,6 +230,27 @@ def _primal_mwu(
     return _build_report(x_bar, instance, alpha, iterations, (), trace_rows)
 
 
+# Plans above this are refused before any work: at 100 us a step, 10^7
+# steps take about 17 minutes.
+_MAX_ITERATIONS = 10_000_000
+
+
+def _planned_iterations(numerator: float, alpha: float) -> int:
+    """A schedule's step count T = ceil(numerator / alpha^2), at least 1.
+
+    Raises ValueError when T exceeds ``_MAX_ITERATIONS``, naming T and an
+    alpha at most 1.5 % above the smallest that fits.
+    """
+    planned = numerator / alpha**2
+    if planned > _MAX_ITERATIONS:
+        smallest = 1.01 * math.sqrt(numerator / _MAX_ITERATIONS)  # fits once rounded
+        raise ValueError(
+            f"alpha = {alpha:g} plans T = {planned:.3g} iterations, over the cap of "
+            f"{_MAX_ITERATIONS:.0e}; alpha >= {smallest:.3g} fits"
+        )
+    return max(1, math.ceil(planned))
+
+
 def _feasibility(
     instance: ScpInstance,
     alpha: float,
@@ -250,14 +271,14 @@ def _feasibility(
         return _build_report(x, instance, alpha, 0, (), [] if collect_trace else None)
     eta = alpha / (4.0 * rho)
     rank = instance.algebra.rank
-    iterations = max(1, math.ceil(16.0 * rho * rho * math.log(max(rank, 2)) / alpha**2))
+    iterations = _planned_iterations(16.0 * rho * rho * math.log(max(rank, 2)), alpha)
     oracle = None
     if budget is not None:
         oracle = (advanced_composition(budget, iterations), sensitivity)
     signs = instance.sense_signs
 
     def loss_of(idx: int, _rng: RandomSource) -> EjaElement:
-        return (signs[idx] / rho) * instance.constraints[idx]
+        return (signs[idx] / rho) * instance.row(idx)
 
     return _primal_mwu(
         instance, alpha, iterations, eta, oracle, loss_of, rng, collect_trace
@@ -337,7 +358,7 @@ def solve_constraint_private(
 
     r = instance.algebra.rank
     alpha = config.alpha
-    iterations = max(1, math.ceil(144.0 * math.log(max(r, 2)) / alpha**2))
+    iterations = _planned_iterations(144.0 * math.log(max(r, 2)), alpha)
     step_epsilon = constraint_private_step_epsilon(config.budget, iterations)
     delta = config.budget.delta
     if delta <= 0.0:
@@ -348,7 +369,7 @@ def solve_constraint_private(
 
     def loss_of(idx: int, rsrc: RandomSource) -> EjaElement:
         nonlocal exceeded
-        loss = 0.5 * gaussian_mechanism(signs[idx] * instance.constraints[idx], sigma, rsrc)
+        loss = 0.5 * gaussian_mechanism(signs[idx] * instance.row(idx), sigma, rsrc)
         exceeded = exceeded or norm(loss, math.inf) > 1.0 + 1e-9
         return loss
 
@@ -419,8 +440,8 @@ def solve_covering_high_sensitivity(
     rho = 3.0 * opt - 1.0  # width bound for net candidates with trace <= opt
     if rho <= 0.0:
         rho = 1.0
+    iterations = _planned_iterations(36.0 * rho * rho * math.log(max(m, 2)), alpha)
     net = idempotent_ray_net(instance.algebra, opt, math.sqrt(opt / 2.0))
-    iterations = max(1, math.ceil(36.0 * rho * rho * math.log(max(m, 2)) / alpha**2))
     eta = min(0.5, math.sqrt(math.log(max(m, 2)) / iterations))
     step_epsilon = advanced_composition(config.budget, iterations)
     s_floor = covering_density_lower_bound(

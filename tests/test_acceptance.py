@@ -413,7 +413,7 @@ def test_criterion_11_constraint_private_solver():
 
 def test_criterion_12_objective_private_mechanism():
     c = EjaElement(S2, [np.diag([1.0, 0.0])])
-    instance = ScpInstance(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
+    instance = ScpInstance.from_rows(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
     opt_value = 1.0
     dinf, epsilon, delta, beta = 0.1, 1.0, 0.05, 0.05
     alpha = objective_private_alpha_bound(dinf, S2.rank, S2.dim, epsilon, delta, beta)

@@ -34,7 +34,6 @@ from conedp.harness.instances import (
     instance_to_dict,
     load_instance,
     save_instance,
-    unpack_element,
 )
 from conedp.harness.runner import (
     CSV_COLUMNS,
@@ -48,6 +47,10 @@ from conedp.solvers import SolverConfig
 MIXED = AlgebraDescriptor.from_spec("r2+s3+q4")
 
 
+def rows_of(inst):
+    return [inst.row(i) for i in range(inst.num_constraints)]
+
+
 class TestInstanceIO:
     def test_roundtrip_exact(self, tmp_path):
         inst, meta = generate_feasible_scp(MIXED, 5, 0.03, seed=9)
@@ -57,7 +60,7 @@ class TestInstanceIO:
         assert loaded.algebra == inst.algebra
         assert loaded.senses == inst.senses
         assert np.array_equal(loaded.scalars, inst.scalars)
-        for a, b in zip(loaded.constraints, inst.constraints):
+        for a, b in zip(rows_of(loaded), rows_of(inst)):
             assert np.array_equal(to_coords(a), to_coords(b))
         assert loaded_meta == meta
 
@@ -98,43 +101,56 @@ class TestInstanceIO:
             load_instance(path)
 
     @pytest.mark.parametrize("spec", ["r2+s3+q4", "s1", "s5", "s2+s4"])
-    def test_loaded_blocks_match_unpack_element(self, spec):
+    def test_loaded_rows_match_payload(self, spec):
         inst, meta = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 7, 0.0, seed=2)
         payload = json.loads(json.dumps(instance_to_dict(inst, meta)))
         loaded, _ = instance_from_dict(payload)
-        for a, packed in zip(loaded.constraints, payload["constraints"]):
-            want = unpack_element(loaded.algebra, packed)
-            assert len(a.blocks) == len(want.blocks)
-            for got_block, want_block in zip(a.blocks, want.blocks):
-                assert got_block.shape == want_block.shape
-                assert got_block.tobytes() == want_block.tobytes()
-                assert not got_block.flags.writeable
+        for i, packed in enumerate(payload["constraints"]):
+            row = loaded.row(i)
+            assert len(row.blocks) == len(packed)
+            for factor, block, want in zip(loaded.algebra.factors, row.blocks, packed):
+                assert not block.flags.writeable
+                if block.ndim == 2:
+                    iu, ju = np.triu_indices(factor.r)
+                    assert block[ju, iu].tobytes() == block[iu, ju].tobytes()
+                    block = block[iu, ju]
+                assert block.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize(
-        "mutate, message",
+        "field, mutate, message",
         [
-            (lambda rows: 5, "constraints must be a list of rows, got int$"),
-            (lambda rows: [], "at least one constraint"),
-            (lambda rows: rows[:1] + [7] + rows[2:],
+            ("constraints", lambda rows: 5, "constraints must be a list of rows, got int$"),
+            ("constraints", lambda rows: [], "at least one constraint"),
+            ("constraints", lambda rows: rows[:1] + [7] + rows[2:],
              "constraint row 1: expected a list of 3 blocks, got int$"),
-            (lambda rows: rows[:2] + [rows[2][:2]],
+            ("constraints", lambda rows: rows[:2] + [rows[2][:2]],
              "constraint row 2: expected a list of 3 blocks, got 2$"),
-            (lambda rows: rows[:1] + [[rows[1][0], rows[1][1][:5], rows[1][2]]] + rows[2:],
+            ("constraints",
+             lambda rows: rows[:1] + [[rows[1][0], rows[1][1][:5], rows[1][2]]] + rows[2:],
              "constraint row 1: packed s3 block needs 6 entries, got 5$"),
-            (lambda rows: rows[:2] + [[rows[2][0], rows[2][1], 0.5]],
+            ("constraints", lambda rows: rows[:2] + [[rows[2][0], rows[2][1], 0.5]],
              "constraint row 2: packed q4 block needs 4 entries, got float$"),
-            (lambda rows: [[["a", 1.0], rows[0][1], rows[0][2]]] + rows[1:],
+            ("constraints", lambda rows: [[["a", 1.0], rows[0][1], rows[0][2]]] + rows[1:],
              "constraint r2 blocks must hold numbers"),
-            (lambda rows: [[[[1.0], [2.0]], rows[0][1], rows[0][2]]] + rows[1:],
+            ("constraints", lambda rows: [[[[1.0], [2.0]], rows[0][1], rows[0][2]]] + rows[1:],
              "constraint r2 blocks must hold numbers"),
+            ("c", lambda c: 5, "objective: expected a list of 3 blocks, got int$"),
+            ("c", lambda c: c[:2], "objective: expected a list of 3 blocks, got 2$"),
+            ("c", lambda c: [c[0], c[1][:5], c[2]],
+             "objective: packed s3 block needs 6 entries, got 5$"),
+            ("c", lambda c: [c[0], c[1], 0.5],
+             "objective: packed q4 block needs 4 entries, got float$"),
+            ("c", lambda c: [["a", 1.0], c[1], c[2]], "objective r2 blocks must hold numbers"),
+            ("c", lambda c: [[[1.0], [2.0]], c[1], c[2]], "objective r2 blocks must hold numbers"),
         ],
         ids=["not-a-list", "empty", "row-not-a-list", "block-count", "packed-length",
-             "block-not-a-list", "non-number", "nested"],
+             "block-not-a-list", "non-number", "nested", "c-not-a-list", "c-block-count",
+             "c-packed-length", "c-block-not-a-list", "c-non-number", "c-nested"],
     )
-    def test_malformed_constraints_are_named(self, mutate, message):
+    def test_malformed_constraints_are_named(self, field, mutate, message):
         inst, meta = generate_feasible_scp(MIXED, 3, 0.0, seed=1)
         payload = instance_to_dict(inst, meta)
-        payload["constraints"] = mutate(payload["constraints"])
+        payload[field] = mutate(payload[field])
         with pytest.raises(ValueError, match=message):
             instance_from_dict(payload)
 
@@ -150,7 +166,7 @@ class TestInstanceIO:
 class TestGenerators:
     def test_covering_normalization(self):
         inst, meta = generate_covering_sdp(3, 10, seed=4)
-        for a in inst.constraints:
+        for a in rows_of(inst):
             assert norm(a, math.inf) == pytest.approx(1.0, abs=1e-9)
             assert min_eigenvalue(a) >= -1e-9
         assert set(inst.senses) == {"GE"}
@@ -167,14 +183,14 @@ class TestGenerators:
     def test_covering_analytic(self):
         inst, meta = generate_covering_sdp(3, 6, seed=0, analytic=True)
         assert meta["planted_opt"] == 3.0
-        for a in inst.constraints:
+        for a in rows_of(inst):
             assert np.allclose(a.blocks[0], np.eye(3) / 3)
 
     def test_single_identity_constraint_opt_is_one(self):
         # <I, X> >= 1 with Tr X minimized: X = e1 e1^T attains trace 1
         inst, _ = generate_covering_sdp(3, 1, seed=2)
         one = generate_covering_sdp(1, 1, seed=2, analytic=True)[0]
-        assert one.constraints[0].blocks[0][0, 0] == 1.0
+        assert one.row(0).blocks[0][0, 0] == 1.0
 
     def test_feasible_planted(self):
         from conedp.eja import from_coords
@@ -186,7 +202,7 @@ class TestGenerators:
         from conedp.solvers import check_violations
 
         assert check_violations(witness, inst, 0.0) == {}
-        for a in inst.constraints:
+        for a in rows_of(inst):
             assert norm(a, math.inf) <= 1.0 + 1e-9
 
     def test_margin_slack(self):

@@ -122,7 +122,7 @@ class TestIdempotentNet:
 
 def covering_instance(constraints, alg):
     m = len(constraints)
-    return ScpInstance(alg, tuple(constraints), np.ones(m), identity(alg), ("GE",) * m)
+    return ScpInstance.from_rows(alg, tuple(constraints), np.ones(m), identity(alg), ("GE",) * m)
 
 
 class TestCoveringOracle:
@@ -261,10 +261,10 @@ class TestDualOracle:
     def lp_instance(self):
         a1 = EjaElement(R2, [np.array([1.0, 0.0])])
         a2 = EjaElement(R2, [np.array([0.0, 1.0])])
-        return ScpInstance(R2, (a1, a2), np.array([0.0, 1.0]), zero(R2), ("LE", "LE"))
+        return ScpInstance.from_rows(R2, (a1, a2), np.array([0.0, 1.0]), zero(R2), ("LE", "LE"))
 
     def test_single_constraint(self):
-        inst = ScpInstance(
+        inst = ScpInstance.from_rows(
             R2, (EjaElement(R2, [np.array([1.0, 1.0])]),), np.array([0.0]), zero(R2), ("LE",)
         )
         assert exact_pick(inst, identity(R2)) == 0
@@ -288,7 +288,7 @@ class TestDualOracle:
 
     def test_ge_sense_mirrors(self):
         a = EjaElement(R2, [np.array([1.0, 0.0])])
-        inst = ScpInstance(R2, (a,), np.array([0.6]), zero(R2), ("GE",))
+        inst = ScpInstance.from_rows(R2, (a,), np.array([0.6]), zero(R2), ("GE",))
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         assert violation_scores(inst, x)[0] == pytest.approx(0.1)
 
@@ -313,7 +313,7 @@ class TestDualOracle:
     def test_tied_scores_split_evenly(self):
         a = EjaElement(R2, [np.array([1.0, 0.0])])
         b = EjaElement(R2, [np.array([0.0, 1.0])])
-        inst = ScpInstance(R2, (a, b), np.array([0.0, 0.0]), zero(R2), ("LE", "LE"))
+        inst = ScpInstance.from_rows(R2, (a, b), np.array([0.0, 0.0]), zero(R2), ("LE", "LE"))
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         rng = RandomSource(10)
         trials = 20_000
@@ -328,7 +328,7 @@ class TestDualOracle:
         m, eps, dinf, gamma = 8, 2.0, 0.5, 0.05
         coords = np.asarray(rng.standard_normal(m * 2)).reshape(m, 2)
         rows = tuple(EjaElement(R2, [c]) for c in coords)
-        inst = ScpInstance(R2, rows, np.zeros(m), zero(R2), ("LE",) * m)
+        inst = ScpInstance.from_rows(R2, rows, np.zeros(m), zero(R2), ("LE",) * m)
         x = EjaElement(R2, [np.array([0.4, 0.6])])
         scores = violation_scores(inst, x)
         alpha = (2.0 * dinf / eps) * math.log(m / gamma)
@@ -347,14 +347,14 @@ def wide_instance(spec, rng, m=40):
     alg = AlgebraDescriptor.from_spec(spec)
     rows = [random_element(alg, rng, 10.0 ** (k % 5 - 2)) for k in range(m)]
     rows += [identity(alg), zero(alg), -2.5 * identity(alg)]
-    return ScpInstance(alg, tuple(rows), np.zeros(len(rows)), zero(alg), ("LE",))
+    return ScpInstance.from_rows(alg, tuple(rows), np.zeros(len(rows)), zero(alg), ("LE",))
 
 
 class TestWidth:
     def test_examples(self):
         inst = covering_instance([identity(S2), identity(S2)], S2)
         assert inst.width == pytest.approx(1.0)
-        inst2 = ScpInstance(
+        inst2 = ScpInstance.from_rows(
             S2, (sym2([[2, 0], [0, -3]]),), np.array([0.0]), zero(S2), ("LE",)
         )
         assert inst2.width == pytest.approx(3.0)
@@ -363,25 +363,26 @@ class TestWidth:
         mixed = AlgebraDescriptor.from_spec("r2+q3")
         blocks = [np.array([0.5, -1.5]), np.array([0.25, 0.25, 0.0])]
         x = EjaElement(mixed, blocks)
-        inst = ScpInstance(mixed, (x,), np.array([0.0]), zero(mixed), ("LE",))
+        inst = ScpInstance.from_rows(mixed, (x,), np.array([0.0]), zero(mixed), ("LE",))
         # per-factor maxima: 1.5 on the vector part, 0.5 on the spin part
         assert inst.width == pytest.approx(1.5)
 
     @pytest.mark.parametrize("spec", ["r4", "s1", "s3", "s6", "q4", "r2+s3+q4", "s2+s5"])
     def test_matches_per_row_norms_bit_for_bit(self, spec, rng):
         inst = wide_instance(spec, rng)
-        assert inst.width == max(norm(a, math.inf) for a in inst.constraints)
+        rows = [inst.row(i) for i in range(inst.num_constraints)]
+        assert inst.width == max(norm(a, math.inf) for a in rows)
 
     def test_zero_radius_spin_rows(self):
         q4 = AlgebraDescriptor.spin(4)
         rows = tuple(c * identity(q4) for c in (0.5, -3.0, 2.0))
-        inst = ScpInstance(q4, rows, np.zeros(3), zero(q4), ("LE",))
+        inst = ScpInstance.from_rows(q4, rows, np.zeros(3), zero(q4), ("LE",))
         assert inst.width == 3.0 == max(norm(a, math.inf) for a in rows)
 
     @pytest.mark.parametrize("spec", ["r4", "s1", "s3", "q4", "r2+s3+q4", "s2+s5"])
     def test_constraint_coords_match_to_coords(self, spec, rng):
         inst = wide_instance(spec, rng)
-        want = np.stack([to_coords(a) for a in inst.constraints])
+        want = np.stack([to_coords(inst.row(i)) for i in range(inst.num_constraints)])
         assert inst.constraint_coords.tobytes() == want.tobytes()
         assert not inst.constraint_coords.flags.writeable
 
@@ -389,18 +390,72 @@ class TestWidth:
 class TestInstanceValidation:
     def test_constraint_algebra_mismatch(self):
         with pytest.raises(ValueError):
-            ScpInstance(
+            ScpInstance.from_rows(
                 S2, (identity(R2),), np.array([1.0]), zero(S2), ("LE",)
             )
 
     def test_sense_broadcast(self):
         inst = covering_instance([identity(S2), identity(S2)], S2)
         assert inst.senses == ("GE", "GE")
-        single = ScpInstance(
+        single = ScpInstance.from_rows(
             S2, (identity(S2), identity(S2)), np.ones(2), zero(S2), ("LE",)
         )
         assert single.senses == ("LE", "LE")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ScpInstance(S2, (), np.array([]), zero(S2), ())
+            ScpInstance.from_rows(S2, (), np.array([]), zero(S2), ())
+
+    def test_empty_stacks_rejected(self):
+        with pytest.raises(ValueError, match="at least one constraint"):
+            ScpInstance(S2, (np.zeros((0, 2, 2)),), np.array([]), zero(S2), ())
+
+    def test_non_symmetric_stack_rejected(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="s2 stack is not exactly symmetric$"):
+            ScpInstance(S2, (stack,), np.zeros(3), zero(S2), ("LE",))
+        stack[1, 1, 0] = 0.5
+        ScpInstance(S2, (stack,), np.zeros(3), zero(S2), ("LE",))
+        stack[2, 0, 1], stack[2, 1, 0] = 0.0, -0.0  # equal values, unequal bits
+        with pytest.raises(ValueError, match="not exactly symmetric$"):
+            ScpInstance(S2, (stack,), np.zeros(3), zero(S2), ("LE",))
+
+    @pytest.mark.parametrize(
+        "stacks, message",
+        [
+            ((np.zeros((2, 2)),), "expected 2 constraint stacks, got 1$"),
+            ((np.zeros((2, 2)), np.zeros((2, 3, 2))), r"s3 stack has shape \(2, 3, 2\)"),
+            ((np.zeros((2, 2)), np.zeros((2, 9))), r"s3 stack has shape \(2, 9\)"),
+            ((np.zeros((2, 2)), np.zeros((3, 3, 3))), r"expected \(2, 3, 3\)$"),
+            ((np.zeros(2), np.zeros((2, 3, 3))), r"r2 stack has shape \(2,\)"),
+        ],
+        ids=["stack-count", "block-shape", "flat-block", "row-count", "no-row-axis"],
+    )
+    def test_stack_shapes_checked(self, stacks, message):
+        alg = AlgebraDescriptor.from_spec("r2+s3")
+        with pytest.raises(ValueError, match=message):
+            ScpInstance(alg, stacks, np.zeros(2), zero(alg), ("LE",))
+
+    @pytest.mark.parametrize("spec", ["r3", "s1", "s4", "q4", "r2+s3+q4"])
+    def test_row_is_a_read_only_view_of_the_given_rows(self, spec, rng):
+        alg = AlgebraDescriptor.from_spec(spec)
+        rows = [random_element(alg, rng) for _ in range(5)]
+        inst = ScpInstance.from_rows(alg, rows, np.zeros(5), zero(alg), ("LE",))
+        for i, want in enumerate(rows):
+            got = inst.row(i)
+            assert got.algebra == alg
+            for block, want_block, stacked in zip(got.blocks, want.blocks, inst.blocks):
+                assert block.shape == want_block.shape
+                assert block.tobytes() == want_block.tobytes()
+                assert not block.flags.writeable
+                assert np.shares_memory(block, stacked)
+                with pytest.raises(ValueError):
+                    block[...] = 0.0
+
+    def test_stacks_are_copied_and_read_only(self):
+        stack = np.eye(2)[None].repeat(2, axis=0)
+        inst = ScpInstance(S2, (stack,), np.ones(2), zero(S2), ("GE",))
+        stack[0, 0, 0] = 5.0
+        assert inst.row(0).blocks[0][0, 0] == 1.0
+        assert not inst.blocks[0].flags.writeable

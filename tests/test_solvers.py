@@ -1,6 +1,8 @@
 """Unit tests for the private and non-private solvers."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from conedp.solvers import (
     solve_objective_private,
     solve_scalar_private,
     unscale_solution,
+    _MAX_ITERATIONS,
+    _planned_iterations,
 )
 
 R2 = AlgebraDescriptor.real(2)
@@ -45,7 +49,7 @@ S3 = AlgebraDescriptor.sym(3)
 def lp(rows, b, senses="LE"):
     elems = tuple(EjaElement(R2, [np.array(r, dtype=float)]) for r in rows)
     senses = (senses,) * len(rows) if isinstance(senses, str) else tuple(senses)
-    return ScpInstance(R2, elems, np.array(b, dtype=float), zero(R2), senses)
+    return ScpInstance.from_rows(R2, elems, np.array(b, dtype=float), zero(R2), senses)
 
 
 class TestViolationsAndScaling:
@@ -130,7 +134,9 @@ class TestScalarPrivate:
             assert report.max_violation <= alpha
 
     def test_zero_width_honours_collect_trace(self):
-        blank = ScpInstance(R2, (zero(R2), zero(R2)), np.array([0.5, 0.5]), zero(R2), ("LE",))
+        blank = ScpInstance.from_rows(
+            R2, (zero(R2), zero(R2)), np.array([0.5, 0.5]), zero(R2), ("LE",)
+        )
         cfg = SolverConfig(
             0.3, 0.05, self.budget(), sensitivity=Sensitivity(0.1, "linf"), collect_trace=True
         )
@@ -172,7 +178,7 @@ class TestConstraintPrivate:
         assert a.violated == b.violated
 
     def test_spectrum_precondition(self):
-        big = ScpInstance(
+        big = ScpInstance.from_rows(
             R2,
             (EjaElement(R2, [np.array([3.0, 0.0])]),),
             np.array([1.0]),
@@ -261,6 +267,40 @@ class TestCovering:
             solve_covering_high_sensitivity(inst, 1.0, cfg, RandomSource(0))
 
 
+class TestScheduleCap:
+    def test_runaway_covering_plan_fails_fast(self):
+        # alpha = 0.1 is the CLI default; this instance's planted opt is 26.8
+        inst, meta = generate_covering_sdp(3, 32, seed=8)
+        cfg = SolverConfig(0.1, 0.05, PrivacyBudget(1.0, 1e-5))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"plans T = 7\.85e\+07 iterations") as err:
+            solve_covering_high_sensitivity(inst, meta["planted_opt"], cfg, RandomSource(0))
+        assert time.perf_counter() - start < 1.0
+        suggested = float(re.search(r"alpha >= (\S+) fits", str(err.value)).group(1))
+        rho = 3.0 * meta["planted_opt"] - 1.0
+        numerator = 36.0 * rho * rho * math.log(32)
+        assert _planned_iterations(numerator, suggested) <= _MAX_ITERATIONS
+        with pytest.raises(ValueError, match="over the cap"):
+            _planned_iterations(numerator, 0.985 * suggested)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda inst, cfg: solve_feasibility(inst, cfg.alpha),
+            lambda inst, cfg: solve_scalar_private(inst, cfg, RandomSource(0)),
+            lambda inst, cfg: solve_constraint_private(inst, cfg, RandomSource(0)),
+        ],
+        ids=["exact", "scalar", "constraint"],
+    )
+    def test_feasibility_schedules_share_the_cap(self, solve):
+        inst, _ = generate_feasible_scp(S2, 4, 0.05, 1)
+        cfg = SolverConfig(
+            1e-4, 0.1, PrivacyBudget(1.0, 0.01), sensitivity=Sensitivity(0.01, "linf")
+        )
+        with pytest.raises(ValueError, match="over the cap of 1e\\+07"):
+            solve(inst, cfg)
+
+
 class TestBinarySearch:
     @staticmethod
     def predicate(threshold):
@@ -312,7 +352,7 @@ class TestBinarySearch:
 class TestObjectivePrivate:
     def analytic_instance(self):
         c = EjaElement(S2, [np.diag([1.0, 0.0])])
-        return ScpInstance(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
+        return ScpInstance.from_rows(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
 
     def test_zero_sensitivity_recovers_exact_optimum(self):
         inst = self.analytic_instance()
