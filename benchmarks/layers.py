@@ -2,10 +2,12 @@
 
 Each case is the median over ``--repeat`` timeit repeats of the time per
 call, in seconds: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
-spectral recombination and one cone MWU step on s3, s8 and r2+s3+q4, and
-one criterion-09 exact solve (planted S3, m = 32, alpha = 0.1).  Inputs
-come from fixed seeds.  The script imports ``conedp`` from the checkout it
-sits in, so a copy of it in another checkout times that checkout.
+spectral recombination and one cone MWU step on s3, s8 and r2+s3+q4, one
+criterion-09 exact solve (planted S3, m = 32, alpha = 0.1), and
+``save_instance`` / ``load_instance`` of a 4,000-row r2+s3+q4 instance,
+the size of the private-wide benchmark file.  Inputs come from fixed
+seeds.  The script imports ``conedp`` from the checkout it sits in, so a
+copy of it in another checkout times that checkout.
 
     python benchmarks/layers.py --label parent --out a.json
     python benchmarks/layers.py --label change --baseline a.json --out b.json
@@ -25,6 +27,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -39,6 +42,7 @@ import numpy as np  # noqa: E402
 
 from conedp.eja import AlgebraDescriptor, _jacobi_eigh, _spectral_apply  # noqa: E402
 from conedp.harness.generators import generate_feasible_scp, random_element  # noqa: E402
+from conedp.harness.instances import load_instance, save_instance  # noqa: E402
 from conedp.mechanisms import RandomSource  # noqa: E402
 from conedp.mwu import _normalized_exp, cone_mwu_init, cone_mwu_step  # noqa: E402
 from conedp.solvers import solve_feasibility  # noqa: E402
@@ -46,6 +50,7 @@ from conedp.solvers import solve_feasibility  # noqa: E402
 JACOBI_RANKS = (2, 3, 5, 8, 10)
 STEP_SPECS = ("s3", "s8", "r2+s3+q4")
 WARM_STEPS = 50  # cone steps folded in before the timed one
+IO_ROWS = 4000
 
 
 def machine_facts() -> dict:
@@ -100,6 +105,15 @@ def cases(repeat: int, min_time: float) -> dict[str, float]:
     out["criterion09_solve"] = median_per_call(
         lambda: solve_feasibility(instance, 0.1, rng=RandomSource(0)), repeat, min_time
     )
+    wide, meta = generate_feasible_scp(AlgebraDescriptor.from_spec("r2+s3+q4"), IO_ROWS, 0.05, 11)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wide.json"
+        out[f"save_instance/m{IO_ROWS}"] = median_per_call(
+            lambda: save_instance(path, wide, meta), repeat, min_time
+        )
+        out[f"load_instance/m{IO_ROWS}"] = median_per_call(
+            lambda: load_instance(path), repeat, min_time
+        )
     return out
 
 
