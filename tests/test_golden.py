@@ -130,6 +130,38 @@ def _traced_covering(seed: int) -> str:
     return _traced_digest(report)
 
 
+def _covering_s3(instance_seed: int | None, opt: float | None, alpha: float, seed: int) -> str:
+    # the criterion-10 size: S3, m = 64, s = 62 (the density floor at eps 1,
+    # delta 0.01, beta 0.1); instance_seed None is the analytic instance, and
+    # opt None takes the planted optimum.  Traced, so the per-step worst row
+    # and its raw loss are pinned too.
+    if instance_seed is None:
+        instance, meta = generate_covering_sdp(3, 64, 0, analytic=True)
+    else:
+        instance, meta = generate_covering_sdp(3, 64, instance_seed)
+    opt = meta["planted_opt"] if opt is None else opt
+    config = SolverConfig(
+        alpha=alpha * opt, beta=0.1, budget=PrivacyBudget(1.0, 0.01), density=62,
+        collect_trace=True,
+    )
+    return _traced_digest(
+        solve_covering_high_sensitivity(instance, opt, config, RandomSource(seed))
+    )
+
+
+def _covering_width_exceeded(seed: int) -> str:
+    # opt = 0.5 makes the width bound 3 opt - 1 = 0.5, which the analytic
+    # rows' raw losses pass, so the run sets width-exceeded
+    instance, _ = generate_covering_sdp(3, 64, 0, analytic=True)
+    config = SolverConfig(
+        alpha=0.25, beta=0.1, budget=PrivacyBudget(1.0, 0.01), density=62,
+        collect_trace=True,
+    )
+    report = solve_covering_high_sensitivity(instance, 0.5, config, RandomSource(seed))
+    assert "width-exceeded" in report.guarantee_flags
+    return _traced_digest(report)
+
+
 def _feasibility(spec: str, seed: int) -> str:
     instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
     return _report_digest(solve_feasibility(instance, 0.3))
@@ -245,6 +277,9 @@ GOLDEN = {
     "traced-constraint-s2+s5-5": "5743915edd16a3d6b8ff571899584bd2b16b90f13f0b062277959cf73aa771cf",
     "traced-constraint-s3-5": "ed86c7334fd5e492f7ae3e913e1a04be99128c0658b94d7310b7ccb805a7b3c7",
     "traced-covering-s2-5": "083fccc3d644cede85e1317d17bfd2c7b721d1132df41ccb4aff89094a643d12",
+    "traced-covering-s3-m64-101-4": "12f506c50f4d299ce5088e43fc74211527d96466470adcb0d8c36215a1c5db38",
+    "traced-covering-s3-m64-analytic-3": "13b0dc091e99ba92065ac873f60058a20b271bfa3c768e7263310dd6a6950885",
+    "traced-covering-s3-m64-width-exceeded-5": "9be3242d018569a92a542cdedf956f3a8c7dac6bbe040130c24824480504225d",
     "traced-feasibility-ge-s2-5": "759b29cc17d9aac50ec29d7bed8f578e2d7ca7614795614fe2cd120dd332b436",
     "traced-feasibility-ge-s2-6": "9be85ed2d54a151e3440f1338a84b5bef2b24e97e631650cb592b2ac3d95d145",
     "traced-feasibility-r2+s3+q4-1": "23be46cbcfb68a3e90086208204b4d0b66d6ee2e2ef2e55788636dbe95faceda",
@@ -268,6 +303,9 @@ CASES = {
     "traced-constraint-exact-s3-5": (_traced_constraint, "s3", 5, 0.0),
     **{f"traced-constraint-loss-bound-s2-{s}": (_traced_constraint_loss_bound, s) for s in (1, 2)},
     "traced-covering-s2-5": (_traced_covering, 5),
+    "traced-covering-s3-m64-analytic-3": (_covering_s3, None, None, 0.5, 3),
+    "traced-covering-s3-m64-101-4": (_covering_s3, 101, None, 0.5, 4),
+    "traced-covering-s3-m64-width-exceeded-5": (_covering_width_exceeded, 5),
     **{f"spectral-s{r}": (_spectral, r) for r in range(1, 11)},
     **{f"expm-{a}": (_mixed_expm, a) for a in ("s3", "r2+s3+q4", "s2+s5", "q3+r3", "r4")},
     **{f"cone-step-{a}": (_cone_iterates, a) for a in ("s3", "r2+s3+q4", "s8")},
