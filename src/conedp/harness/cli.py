@@ -38,6 +38,30 @@ def _load(path):
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
+def _config(eps, delta, alpha, beta, density, dinf) -> SolverConfig:
+    """The solver settings; an out-of-range value is a clean exit-1 error."""
+    try:
+        return SolverConfig(
+            alpha=alpha,
+            beta=beta,
+            budget=PrivacyBudget(eps, delta),
+            density=density,
+            sensitivity=Sensitivity(dinf, "linf"),
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
+def _run(instance, solver, config, seeds, opt):
+    """Run a solver over seeds; a solver's ValueError (a schedule over the
+    iteration cap, an instance the solver does not accept) is a clean
+    exit-1 error."""
+    try:
+        return run_experiment(instance, solver, config, seeds, opt=opt)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 @click.group()
 def main():
     """Private symmetric-cone-program toolkit."""
@@ -86,14 +110,8 @@ def solve(instance_path, solver, eps, delta, alpha, beta, density, dinf, seed, o
         opt = metadata.get("planted_opt")
         if opt is None:
             raise click.UsageError("covering-hs needs --opt or planted_opt metadata")
-    config = SolverConfig(
-        alpha=alpha,
-        beta=beta,
-        budget=PrivacyBudget(eps, delta),
-        density=density,
-        sensitivity=Sensitivity(dinf, "linf"),
-    )
-    records = run_experiment(instance, solver, config, [seed], opt=opt)
+    config = _config(eps, delta, alpha, beta, density, dinf)
+    records = _run(instance, solver, config, [seed], opt)
     record = records[0]
     if csv_path:
         write_records(csv_path, records, include_wall=False, append=True)
@@ -141,14 +159,8 @@ def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, d
         opt = metadata.get("planted_opt")
     any_flags = False
     for eps in (float(tok) for tok in eps_grid.split(",")):
-        config = SolverConfig(
-            alpha=alpha,
-            beta=beta,
-            budget=PrivacyBudget(eps, delta),
-            density=density,
-            sensitivity=Sensitivity(dinf, "linf"),
-        )
-        records = run_experiment(instance, solver, config, range(seeds), opt=opt)
+        config = _config(eps, delta, alpha, beta, density, dinf)
+        records = _run(instance, solver, config, range(seeds), opt)
         write_records(csv_path, records, include_wall=True, append=True)
         any_flags = any_flags or any(r.guarantee_flags for r in records)
         click.echo(f"eps={eps}: wrote {len(records)} rows")

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _NORM_TAGS = ("l1", "l2", "linf")
+_UNIT = 1.0 / (1 << 53)  # a 53-bit integer times this is a uniform in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,14 @@ class RandomSource:
         return RandomSource(self.seed, self._spawn_key + (int(index),))
 
     def uniform(self, size: int | None = None):
-        """Uniform draws in [0, 1) with 53-bit resolution."""
-        n = 1 if size is None else int(size)
-        raw = self._bitgen.random_raw(n)
-        vals = (raw >> 11) * (1.0 / (1 << 53))
+        """Uniform draws in [0, 1) with 53-bit resolution.
+
+        One draw is a Python float from one raw word, the same value and
+        stream position as one element of ``uniform(n)``.
+        """
         if size is None:
-            return float(vals[0])
-        return vals
+            return (self._bitgen.random_raw() >> 11) * _UNIT
+        return (self._bitgen.random_raw(int(size)) >> 11) * _UNIT
 
     def standard_normal(self, size: int | None = None):
         """Standard normal draws via Box-Muller on the uniform stream."""
@@ -181,25 +183,54 @@ def gibbs_probabilities(scores, sensitivity: float, epsilon: float) -> np.ndarra
     The max score is subtracted before exponentiating, which leaves the
     distribution unchanged and avoids overflow at large epsilon.
     """
+    s = _score_vector(scores)
+    return _gibbs(s, _gibbs_scale(sensitivity, epsilon))
+
+
+def _score_vector(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+    return s
+
+
+def _gibbs_scale(sensitivity: float, epsilon: float) -> float:
+    """The logit scale eps / (2 * sens), after checking both are positive."""
     if not (sensitivity > 0.0):
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    logits = (epsilon / (2.0 * sensitivity)) * s
+    return epsilon / (2.0 * sensitivity)
+
+
+def _gibbs(s: np.ndarray, scale: float) -> np.ndarray:
+    """Probabilities proportional to exp(scale * s) for a nonempty 1-d float
+    array s, which must be finite.  A negative scale selects low scores:
+    (-k) * s is k * (-s) bit for bit."""
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    logits = scale * s
     logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    w = np.exp(logits, out=logits)
+    w /= w.sum()
+    return w
 
 
-def _sample_indices(p: np.ndarray, u) -> np.ndarray:
-    cdf = np.cumsum(p)
-    idx = np.searchsorted(cdf, np.atleast_1d(u), side="right")
-    return np.minimum(idx, p.size - 1)
+def _sample_indices(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index whose CDF interval holds each uniform in u.  A u past the
+    last CDF entry, which rounding can leave below 1, takes the last index."""
+    return np.minimum(p.cumsum().searchsorted(u, side="right"), p.size - 1)
+
+
+def _sample_index(p: np.ndarray, u: float) -> int:
+    """:func:`_sample_indices` for one uniform, without the arrays."""
+    return min(int(p.cumsum().searchsorted(u, side="right")), p.size - 1)
+
+
+def _exponential_pick(s: np.ndarray, scale: float, rng: RandomSource) -> int:
+    """One Gibbs draw at logit scale ``scale`` over the scores s: the kernel
+    of :func:`exponential_mechanism` and of the covering oracle."""
+    return _sample_index(_gibbs(s, scale), rng.uniform())
 
 
 def exponential_mechanism(
@@ -210,8 +241,8 @@ def exponential_mechanism(
     The mechanism maximizes quality; callers that minimize pass negated
     scores.
     """
-    p = gibbs_probabilities(scores, sensitivity, epsilon)
-    return int(_sample_indices(p, rng.uniform())[0])
+    s = _score_vector(scores)
+    return _exponential_pick(s, _gibbs_scale(sensitivity, epsilon), rng)
 
 
 def exponential_mechanism_sample(

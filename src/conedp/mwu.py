@@ -146,10 +146,18 @@ class DenseMeasure:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
-        if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails both
-            raise ValueError("weights must lie in [0, 1]")
+        _check_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _wrap(cls, w: np.ndarray) -> "DenseMeasure":
+        """A measure over weights this module just built and checked, with
+        no copy or second check."""
+        w.setflags(write=False)
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "weights", w)
+        return measure
 
     @property
     def size(self) -> int:
@@ -172,12 +180,31 @@ class DenseDistribution:
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=float)
-        if not (p.min() >= 0.0) or abs(float(p.sum()) - 1.0) > 1e-10:
-            raise ValueError("probabilities must be nonnegative and sum to one")
-        if float(p.max()) > 1.0 / self.density + 1e-10:
-            raise ValueError(f"entries must stay at or below 1/{self.density}")
+        _check_probabilities(p, self.density)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
+
+    @classmethod
+    def _wrap(cls, p: np.ndarray, density: int) -> "DenseDistribution":
+        """A distribution over probabilities this module just built and
+        checked, with no copy or second check."""
+        p.setflags(write=False)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probabilities", p)
+        object.__setattr__(dist, "density", density)
+        return dist
+
+
+def _check_weights(w: np.ndarray) -> None:
+    if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails both
+        raise ValueError("weights must lie in [0, 1]")
+
+
+def _check_probabilities(p: np.ndarray, density: int) -> None:
+    if not (p.min() >= 0.0) or abs(float(p.sum()) - 1.0) > 1e-10:
+        raise ValueError("probabilities must be nonnegative and sum to one")
+    if float(p.max()) > 1.0 / density + 1e-10:
+        raise ValueError(f"entries must stay at or below 1/{density}")
 
 
 def uniform_measure(m: int) -> DenseMeasure:
@@ -215,7 +242,12 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     """
     if s < 1:
         raise ValueError(f"density parameter must be >= 1, got {s}")
-    w = measure.weights
+    return DenseDistribution._wrap(_projected(measure.weights, s), s)
+
+
+def _projected(w: np.ndarray, s: int) -> np.ndarray:
+    """The checked probabilities of :func:`bregman_project` for the weights
+    of a measure and s >= 1, as a new array."""
     positive = w[w > 0.0]
     if positive.size < s:
         raise ProjectionInfeasibleError(
@@ -223,8 +255,10 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
         )
     if positive.size == s:
         probs = np.where(w > 0.0, 1.0 / s, 0.0)
-        return DenseDistribution(probs, s)
-    return DenseDistribution(_first_fit(w, positive, s), s)
+    else:
+        probs = _first_fit(w, positive, s)
+    _check_probabilities(probs, s)
+    return probs
 
 
 # 1/F_f and every |c_j| are at most max(s, n) / min F for n positive weights,
@@ -256,7 +290,7 @@ def _first_fit(
     # segment j: top j entries saturated at 1, the rest still linear in c.
     # tails[j] = sum desc[j:] is a rounded sum of positive weights, so it is
     # at least its largest term and never zero.
-    tails = np.cumsum(desc[::-1])[::-1]
+    tails = desc[::-1].cumsum()[::-1]
     c = np.arange(s, s - desc.size, -1) / tails
     upper = 1.0 / desc  # segment j ends where entry j saturates
     slack = 1e-12 * unit
@@ -265,22 +299,42 @@ def _first_fit(
     # a bound every positive c_0 meets
     stop[1:] &= upper[:-1] - slack <= c[1:]
     j = int(stop.argmax())
-    if stop[j]:
-        c_star = max(c[j], 0.0)
-    else:
-        lo, hi = 0.0, s / max(positive.sum(), 1e-300) + unit
-        while _dense_mass(hi, w) < s:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _dense_mass(mid, w) < s:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(unit, hi):
-                break
-        c_star = hi
+    c_star = max(c[j], 0.0) if stop[j] else _bisected_scale(w, positive, s, unit)
     return np.minimum(1.0, c_star * w) / s
+
+
+def _bisected_scale(w: np.ndarray, positive: np.ndarray, s: int, unit: float) -> float:
+    """The c of :func:`_first_fit` by expanding bisection on the mass, for a
+    measure whose candidates all miss their windows.  No such measure is
+    known; this is the fallback that keeps the solve total."""
+    lo, hi = 0.0, s / max(positive.sum(), 1e-300) + unit
+    while _dense_mass(hi, w) < s:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _dense_mass(mid, w) < s:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(unit, hi):
+            break
+    return hi
+
+
+def _update_factors(losses: np.ndarray, eta: float) -> np.ndarray:
+    """exp(-eta * losses), the dense update's per-action factor; the losses
+    must be finite."""
+    if not np.isfinite(losses).all():
+        raise ValueError("losses must be finite")
+    return np.exp(-eta * losses)
+
+
+def _reweighted(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """min(1, w * factors) as a new array, checked as measure weights."""
+    updated = w * factors
+    np.minimum(1.0, updated, out=updated)
+    _check_weights(updated)
+    return updated
 
 
 def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:
@@ -294,10 +348,7 @@ def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:
     l = np.asarray(losses, dtype=float)
     if l.shape != measure.weights.shape:
         raise ValueError(f"loss shape {l.shape} does not match measure {measure.weights.shape}")
-    if not np.isfinite(l).all():
-        raise ValueError("losses must be finite")
-    updated = measure.weights * np.exp(-eta * l)
-    return DenseMeasure(np.minimum(1.0, updated))
+    return DenseMeasure._wrap(_reweighted(measure.weights, _update_factors(l, eta)))
 
 
 def dense_mwu_regret_certificate(

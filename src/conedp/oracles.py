@@ -29,7 +29,12 @@ from conedp.eja import (
     _stacked_eigenvalues,
     to_coords,
 )
-from conedp.mechanisms import RandomSource, exponential_mechanism
+from conedp.mechanisms import (
+    RandomSource,
+    _exponential_pick,
+    _gibbs_scale,
+    exponential_mechanism,
+)
 
 __all__ = [
     "ScpInstance",
@@ -348,21 +353,28 @@ def idempotent_ray_net(
 # ---------------------------------------------------------------------------
 
 
-def _covering_scores(y, instance: ScpInstance, net: CoveringNet) -> np.ndarray:
+def _covering_weights(y, instance: ScpInstance) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (instance.num_constraints,):
         raise ValueError(
             f"weight shape {y.shape} does not match {instance.num_constraints} constraints"
         )
-    combined = y @ instance.constraint_coords
-    return net.coords @ combined
+    return y
+
+
+def _covering_scores(
+    y: np.ndarray, constraint_coords: np.ndarray, net_coords: np.ndarray
+) -> np.ndarray:
+    """<sum_i y_i a_i, p> for every net point p."""
+    return net_coords @ (y @ constraint_coords)
 
 
 def covering_oracle_exact(y, instance: ScpInstance, net: CoveringNet) -> EjaElement:
     """The net point minimizing <sum_i y_i a_i, p>; ties take the lowest index."""
     if len(net) == 0:
         raise ValueError("empty net")
-    scores = _covering_scores(y, instance, net)
+    y = _covering_weights(y, instance)
+    scores = _covering_scores(y, instance.constraint_coords, net.coords)
     return net.points[int(np.argmin(scores))]
 
 
@@ -383,14 +395,26 @@ def covering_oracle_private(
     """Net index of an approximately minimizing point, by exponential mechanism.
 
     The index addresses both ``net.points`` and the cached ``net.coords``
-    rows.  Scores are negated because the mechanism maximizes quality while
-    the oracle minimizes.  The caller guarantees the weight vector comes
-    from a 1/s-dense distribution, which bounds the score sensitivity by
-    3*opt/s.
+    rows.  The mechanism maximizes quality while the oracle minimizes, so
+    it runs at the negated logit scale, which equals negating the scores.
+    The caller guarantees the weight vector comes from a 1/s-dense
+    distribution, which bounds the score sensitivity by 3*opt/s.
     """
-    scores = _covering_scores(y, instance, net)
-    sensitivity = covering_oracle_sensitivity(opt, s)
-    return exponential_mechanism(-scores, sensitivity, epsilon, rng)
+    y = _covering_weights(y, instance)
+    scale = -_gibbs_scale(covering_oracle_sensitivity(opt, s), epsilon)
+    return _covering_pick(y, instance.constraint_coords, net.coords, scale, rng)
+
+
+def _covering_pick(
+    y: np.ndarray,
+    constraint_coords: np.ndarray,
+    net_coords: np.ndarray,
+    scale: float,
+    rng: RandomSource,
+) -> int:
+    """The private covering oracle for checked weights y at the negative
+    logit scale ``scale``; the solver's loop calls it directly."""
+    return _exponential_pick(_covering_scores(y, constraint_coords, net_coords), scale, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,19 @@ from conedp.mechanisms import (
     advanced_composition,
     gaussian_mechanism,
 )
+from conedp.mechanisms import _gibbs_scale
 from conedp.mwu import (
-    bregman_project,
+    _projected,
+    _reweighted,
+    _update_factors,
     cone_mwu_init,
     cone_mwu_step,
-    dense_mwu_step,
     uniform_measure,
 )
 from conedp.oracles import (
     ScpInstance,
-    covering_oracle_private,
+    _covering_pick,
+    covering_oracle_sensitivity,
     dual_oracle_private,
     idempotent_ray_net,
     violation_scores,
@@ -450,30 +453,60 @@ def solve_covering_high_sensitivity(
     if s < s_floor:
         flags.append("density-below-theory")
 
-    measure = uniform_measure(m)
+    # the private covering oracle and the dense update, unrolled: after the
+    # pick, a step depends only on the picked net point, so each distinct
+    # pick's update row is computed once (at most min(T, |net|) rows)
+    constraint_coords = instance.constraint_coords
+    net_coords = net.coords
+    scale = -_gibbs_scale(covering_oracle_sensitivity(opt, s), step_epsilon)
+    rows: dict[int, _CoveringRow] = {}
+    weights = uniform_measure(m).weights
     avg_coords = np.zeros(instance.algebra.dim)
     trace_rows: list[tuple[int, int, float]] | None = (
         [] if config.collect_trace else None
     )
-    b = instance.scalars
     for t in range(1, iterations + 1):
-        projected = bregman_project(measure, s)
-        pick = covering_oracle_private(
-            projected.probabilities, instance, net, step_epsilon, opt, s, rng
-        )
-        point_coords = net.coords[pick]
-        avg_coords += point_coords
-        values = instance.constraint_coords @ point_coords
-        raw = b - values
-        if np.max(np.abs(raw)) > rho + 1e-9 and "width-exceeded" not in flags:
+        probabilities = _projected(weights, s)
+        pick = _covering_pick(probabilities, constraint_coords, net_coords, scale, rng)
+        row = rows.get(pick)
+        if row is None:
+            row = rows[pick] = _covering_row(instance, net_coords[pick], rho, eta)
+        avg_coords += row.point
+        weights = _reweighted(weights, row.factors)
+        if row.width_exceeded and "width-exceeded" not in flags:
             flags.append("width-exceeded")
-        losses = np.clip(raw / (2.0 * rho) + 0.5, 0.0, 1.0)
-        measure = dense_mwu_step(measure, losses, eta)
         if trace_rows is not None:
-            worst = int(np.argmax(raw))
-            trace_rows.append((t, worst, float(raw[worst])))
+            trace_rows.append((t, row.worst, row.worst_raw))
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, tuple(flags), trace_rows)
+
+
+@dataclass(frozen=True)
+class _CoveringRow:
+    """What a covering step needs of one picked net point."""
+
+    point: np.ndarray  # the point's coordinates
+    factors: np.ndarray  # the dense update's exp(-eta * loss) per row
+    width_exceeded: bool  # some raw loss |b_i - <a_i, p>| passed rho
+    worst: int  # the row of the largest raw loss, and that loss
+    worst_raw: float
+
+
+def _covering_row(
+    instance: ScpInstance, point: np.ndarray, rho: float, eta: float
+) -> _CoveringRow:
+    """Raw losses b_i - <a_i, p>, mapped affinely into [0, 1] by the width
+    bound rho, for one net point p."""
+    raw = instance.scalars - instance.constraint_coords @ point
+    losses = np.clip(raw / (2.0 * rho) + 0.5, 0.0, 1.0)
+    worst = int(np.argmax(raw))
+    return _CoveringRow(
+        point,
+        _update_factors(losses, eta),
+        bool(np.max(np.abs(raw)) > rho + 1e-9),
+        worst,
+        float(raw[worst]),
+    )
 
 
 # ---------------------------------------------------------------------------

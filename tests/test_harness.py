@@ -418,6 +418,65 @@ class TestCli:
         assert not isinstance(result.exception, TypeError)
         assert "Error:" in result.output and message in result.output
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_iteration_cap_is_exit_one(self, tmp_path, command):
+        # planted opt 26.8: the default alpha 0.1 plans about 7.9e7 steps
+        runner = CliRunner()
+        inst_path = tmp_path / "cov.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "covering-sdp", "--r", "3", "--m", "32",
+             "--seed", "8", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        args = [command, "--instance", str(inst_path), "--solver", "covering-hs"]
+        if command == "bench":
+            args += ["--seeds", "1", "--eps-grid", "1", "--csv", str(tmp_path / "b.csv")]
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "Error: alpha = 0.1 plans T = 7.85e+07 iterations" in result.output
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_constraint_spectrum_check_is_exit_one(self, tmp_path, command):
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        payload = json.loads(inst_path.read_text())
+        payload["constraints"] = [
+            [[5.0 * v for v in block] for block in row] for row in payload["constraints"]
+        ]
+        inst_path.write_text(json.dumps(payload))
+        args = [command, "--instance", str(inst_path), "--solver", "constraint",
+                "--dinf", "0.01", "--alpha", "0.5"]
+        if command == "bench":
+            args += ["--seeds", "1", "--eps-grid", "1", "--csv", str(tmp_path / "b.csv")]
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: constraint spectra must lie in [-1, 1]" in result.output
+
+    def test_out_of_range_setting_is_exit_one(self, tmp_path):
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        result = runner.invoke(
+            cli_main,
+            ["solve", "--instance", str(inst_path), "--solver", "scalar", "--alpha", "-1"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: alpha must be positive" in result.output
+
     def test_usage_error_is_exit_one(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, ["gen", "--kind", "covering-sdp", "--m", "4",

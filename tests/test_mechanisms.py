@@ -21,6 +21,7 @@ from conedp.mechanisms import (
     l1_gaussian_mechanism,
     linf_gaussian_mechanism,
 )
+from conedp.mechanisms import _sample_index, _sample_indices
 
 S2 = AlgebraDescriptor.sym(2)
 
@@ -50,6 +51,21 @@ class TestRandomSource:
         assert np.array_equal(a.uniform(64), b.uniform(64))
         assert np.array_equal(a.standard_normal(65), b.standard_normal(65))
         assert RandomSource(123).uniform() != RandomSource(124).uniform()
+
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_scalar_draws_match_array_draws(self, seed):
+        # one scalar draw is one raw word: the same value and stream position
+        # as one element of uniform(n)
+        n = 257
+        want = RandomSource(seed).uniform(n)
+        scalar = RandomSource(seed)
+        got = [scalar.uniform() for _ in range(n)]
+        assert all(type(u) is float for u in got)
+        assert np.array(got).tobytes() == want.tobytes()
+        mixed = RandomSource(seed)
+        head = [mixed.uniform() for _ in range(3)]
+        tail = mixed.uniform(n - 3)
+        assert np.concatenate((head, tail)).tobytes() == want.tobytes()
 
     def test_substreams_are_independent(self):
         root = RandomSource(9)
@@ -157,6 +173,46 @@ class TestExponential:
             exponential_mechanism([1.0], 0.0, 1.0, RandomSource(0))
         with pytest.raises(ValueError):
             exponential_mechanism([math.nan], 1.0, 1.0, RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "case", ["tied", "grid-ties", "dominant", "one", "wide", "wide-dominant"]
+    )
+    def test_single_draw_matches_batched_kernel(self, case):
+        # exponential_mechanism is one draw of _sample_indices over the Gibbs
+        # probabilities, at the same uniform
+        gen = np.random.default_rng(len(case))
+        sensitivity, epsilon = 0.5, 1.5
+        if case == "tied":
+            scores = np.full(80, 0.25)
+        elif case == "grid-ties":
+            scores = np.round(gen.uniform(size=80), 1)
+        elif case == "dominant":  # every logit but one underflows
+            scores, epsilon = gen.uniform(size=80), 1e6
+        elif case == "one":
+            scores = np.array([0.7])
+        elif case == "wide":
+            scores = gen.standard_normal(4000)
+        else:
+            scores, epsilon = gen.standard_normal(4000), 1e4
+        p = gibbs_probabilities(scores, sensitivity, epsilon)
+        for seed in range(40):
+            u = RandomSource(seed).uniform()
+            want = int(_sample_indices(p, np.array([u]))[0])
+            assert _sample_index(p, u) == want
+            assert exponential_mechanism(scores, sensitivity, epsilon, RandomSource(seed)) == want
+
+    def test_uniform_past_the_cdf_takes_the_last_index(self):
+        u = 1.0 - 2.0**-53  # the largest uniform a source returns
+        gen = np.random.default_rng(3)
+        wide = next(
+            p for p in (gibbs_probabilities(gen.standard_normal(4000), 1.0, 1.0) for _ in range(50))
+            if p.cumsum()[-1] < u
+        )
+        for p in (np.full(7, 1.0 / 7.0), wide):
+            assert p.cumsum()[-1] < u  # rounding leaves the CDF below u
+            assert p.cumsum().searchsorted(u, side="right") == p.size
+            assert _sample_index(p, u) == p.size - 1
+            assert _sample_indices(p, np.array([u, 0.0])).tolist() == [p.size - 1, 0]
 
     def test_frequencies_match_softmax(self):
         rng = RandomSource(17)

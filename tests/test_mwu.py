@@ -30,7 +30,7 @@ from conedp.mwu import (
     dense_mwu_step,
     uniform_measure,
 )
-from conedp.mwu import _dense_mass, _first_fit
+from conedp.mwu import _bisected_scale, _dense_mass, _first_fit
 
 from conftest import random_element_inf_bounded
 
@@ -382,6 +382,37 @@ class TestBregmanOverflow:
                 want = _loop_bregman_reference(w, s).probabilities
                 got = bregman_project(DenseMeasure(w), s).probabilities
                 assert got.tobytes() == want.tobytes()
+
+
+class TestBisectionFallback:
+    # no known measure makes every first-fit candidate miss its window, so
+    # the expanding bisection is tested on its own against the first-fit
+    # answer
+
+    @pytest.mark.parametrize("m", [2, 9, 64, 4096])
+    def test_matches_first_fit(self, m):
+        gen = np.random.default_rng(500 + m)
+        for w in _reference_measures(gen, m):
+            positive = w[w > 0.0]
+            count = positive.size
+            densities = range(1, count) if m <= 64 else {1, 2, count // 2, count - 1}
+            for s in densities:
+                c = _bisected_scale(w, positive, s, 1.0)
+                assert _dense_mass(c, w) >= s  # the bracket's upper end
+                got = np.minimum(1.0, c * w) / s
+                want = _first_fit(w, positive, s)
+                assert np.allclose(got, want, rtol=1e-9, atol=0.0), (m, s)
+
+    def test_rescaled_unit(self):
+        # subnormal weights run on the 2**k-scaled measure with slack 2**-k
+        weights = np.array([0.5] + [1e-310] * 9)
+        k = -((np.frexp(1e-310)[1] + np.frexp(0.5)[1]) // 2)
+        w, positive = np.ldexp(weights, k), np.ldexp(weights, k)
+        with np.errstate(over="ignore"):
+            c = _bisected_scale(w, positive, 3, 2.0**-k)
+            got = np.minimum(1.0, c * w) / 3
+            want = _first_fit(w, positive, 3, 2.0**-k)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 class TestDenseStep:

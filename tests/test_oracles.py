@@ -18,7 +18,11 @@ from conedp.eja import (
     trace,
     zero,
 )
-from conedp.mechanisms import RandomSource, exponential_mechanism_error_bound
+from conedp.mechanisms import (
+    RandomSource,
+    exponential_mechanism,
+    exponential_mechanism_error_bound,
+)
 from conedp.oracles import (
     CoveringNet,
     NetBudgetError,
@@ -170,6 +174,21 @@ class TestCoveringOracle:
             )
             hits += int(np.array_equal(to_coords(self.net.points[i]), to_coords(exact)))
         assert hits / trials >= 0.999
+
+    def test_private_oracle_is_the_mechanism_on_negated_scores(self):
+        # the oracle runs the mechanism at the negated logit scale, which
+        # must pick what the mechanism picks on the negated scores
+        gen = np.random.default_rng(12)
+        inst = covering_instance([sym2(gen.uniform(-1.0, 1.0, (2, 2))) for _ in range(5)], S2)
+        net = idempotent_ray_net(S2, 2.0, 0.3)
+        for eps, s in ((1.0, 3), (40.0, 1), (1e5, 2)):
+            y = gen.dirichlet(np.ones(5))
+            scores = net.coords @ (y @ inst.constraint_coords)
+            sens = covering_oracle_sensitivity(2.0, s)
+            for seed in range(30):
+                got = covering_oracle_private(y, inst, net, eps, 2.0, s, RandomSource(seed))
+                want = exponential_mechanism(-scores, sens, eps, RandomSource(seed))
+                assert got == want
 
     def test_private_uniform_scores_uniform_sampling(self):
         rng = RandomSource(6)

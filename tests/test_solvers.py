@@ -10,6 +10,7 @@ import pytest
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
+    from_coords,
     identity,
     inner,
     min_eigenvalue,
@@ -19,7 +20,8 @@ from conedp.eja import (
 )
 from conedp.harness.generators import generate_covering_sdp, generate_feasible_scp
 from conedp.mechanisms import PrivacyBudget, RandomSource, Sensitivity, advanced_composition
-from conedp.oracles import ScpInstance
+from conedp.mwu import bregman_project, dense_mwu_step, uniform_measure
+from conedp.oracles import ScpInstance, covering_oracle_private, idempotent_ray_net
 from conedp.solvers import (
     BracketError,
     SolverConfig,
@@ -265,6 +267,76 @@ class TestCovering:
         cfg = SolverConfig(0.5, 0.1, PrivacyBudget(1.0, 0.01), density=2)
         with pytest.raises(ValueError):
             solve_covering_high_sensitivity(inst, 1.0, cfg, RandomSource(0))
+
+
+def _reference_covering(instance, opt, config, rng):
+    """The covering loop before per-pick rows were cached, kept verbatim: it
+    calls the public projection, oracle and update on every step.  Returns
+    the averaged point, the flags and the trace."""
+    m = instance.num_constraints
+    rho = 3.0 * opt - 1.0
+    if rho <= 0.0:
+        rho = 1.0
+    iterations = _planned_iterations(36.0 * rho * rho * math.log(max(m, 2)), config.alpha)
+    net = idempotent_ray_net(instance.algebra, opt, math.sqrt(opt / 2.0))
+    eta = min(0.5, math.sqrt(math.log(max(m, 2)) / iterations))
+    step_epsilon = advanced_composition(config.budget, iterations)
+    flags = []
+    measure = uniform_measure(m)
+    avg_coords = np.zeros(instance.algebra.dim)
+    trace_rows = []
+    b = instance.scalars
+    for t in range(1, iterations + 1):
+        projected = bregman_project(measure, config.density)
+        pick = covering_oracle_private(
+            projected.probabilities, instance, net, step_epsilon, opt, config.density, rng
+        )
+        point_coords = net.coords[pick]
+        avg_coords += point_coords
+        values = instance.constraint_coords @ point_coords
+        raw = b - values
+        if np.max(np.abs(raw)) > rho + 1e-9 and "width-exceeded" not in flags:
+            flags.append("width-exceeded")
+        losses = np.clip(raw / (2.0 * rho) + 0.5, 0.0, 1.0)
+        measure = dense_mwu_step(measure, losses, eta)
+        worst = int(np.argmax(raw))
+        trace_rows.append((t, worst, float(raw[worst])))
+    return from_coords(instance.algebra, avg_coords / iterations), flags, trace_rows
+
+
+def _unit_rows(alg, m, seed):
+    # GE rows of unit inf-norm or less: entries in [0, 1] over a real factor
+    gen = np.random.default_rng(seed)
+    rows = [EjaElement(alg, [gen.uniform(0.0, 1.0, alg.dim)]) for _ in range(m)]
+    return ScpInstance.from_rows(alg, rows, gen.uniform(0.2, 0.6, m), zero(alg), ("GE",))
+
+
+class TestCoveringLoopReference:
+    CASES = {
+        # (instance, opt or None for the planted one, alpha / opt, density)
+        "s2-analytic": (lambda: generate_covering_sdp(2, 8, 0, analytic=True), None, 1.0, 7),
+        "s2-random": (lambda: generate_covering_sdp(2, 12, 5), None, 0.6, 9),
+        "s3-random": (lambda: generate_covering_sdp(3, 24, 101), None, 0.8, 20),
+        "s3-width-exceeded": (lambda: generate_covering_sdp(3, 16, 0, analytic=True), 0.5, 0.6, 12),
+        "r3-random": (lambda: (_unit_rows(AlgebraDescriptor.real(3), 10, 3), {}), 1.5, 0.5, 6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_per_step_engine(self, name):
+        make, opt, alpha, s = self.CASES[name]
+        instance, meta = make()
+        opt = meta["planted_opt"] if opt is None else opt
+        config = SolverConfig(
+            alpha * opt, 0.1, PrivacyBudget(2.0, 0.01), density=s, collect_trace=True
+        )
+        for seed in (0, 7):
+            report = solve_covering_high_sensitivity(instance, opt, config, RandomSource(seed))
+            x, flags, trace_rows = _reference_covering(instance, opt, config, RandomSource(seed))
+            assert to_coords(report.solution).tobytes() == to_coords(x).tobytes()
+            assert list(report.trace) == trace_rows
+            assert [f for f in report.guarantee_flags if f != "density-below-theory"] == flags
+        if name == "s3-width-exceeded":
+            assert "width-exceeded" in report.guarantee_flags
 
 
 class TestScheduleCap:
