@@ -1,12 +1,15 @@
-"""Per-layer timings of the cone step, written as a BENCH_*.json file.
+"""Per-layer timings of the cone and covering steps, written as a BENCH_*.json file.
 
 Each case is the median over ``--repeat`` timeit repeats of the time per
 call, in seconds: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
 spectral recombination and one cone MWU step on s3, s8 and r2+s3+q4, one
-criterion-09 exact solve (planted S3, m = 32, alpha = 0.1), and
+criterion-09 exact solve (planted S3, m = 32, alpha = 0.1),
 ``save_instance`` / ``load_instance`` of a 4,000-row r2+s3+q4 instance,
-the size of the private-wide benchmark file.  Inputs come from fixed
-seeds.  The script imports ``conedp`` from the checkout it sits in, so a
+the size of the private-wide benchmark file, ``bregman_project`` at
+m = 64 and 4,096 (s = m - 2 and m - 96, the dense regime of the covering
+solver), ``exponential_mechanism`` over 80 and 4,000 candidates, and one
+criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2).
+Inputs come from fixed seeds.  The script imports ``conedp`` from the checkout it sits in, so a
 copy of it in another checkout times that checkout.
 
     python benchmarks/layers.py --label parent --out a.json
@@ -41,16 +44,32 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from conedp.eja import AlgebraDescriptor, _jacobi_eigh, _spectral_apply  # noqa: E402
-from conedp.harness.generators import generate_feasible_scp, random_element  # noqa: E402
+from conedp.harness.generators import (  # noqa: E402
+    generate_covering_sdp,
+    generate_feasible_scp,
+    random_element,
+)
 from conedp.harness.instances import load_instance, save_instance  # noqa: E402
-from conedp.mechanisms import RandomSource  # noqa: E402
-from conedp.mwu import _normalized_exp, cone_mwu_init, cone_mwu_step  # noqa: E402
-from conedp.solvers import solve_feasibility  # noqa: E402
+from conedp.mechanisms import PrivacyBudget, RandomSource, exponential_mechanism  # noqa: E402
+from conedp.mwu import (  # noqa: E402
+    DenseMeasure,
+    _normalized_exp,
+    bregman_project,
+    cone_mwu_init,
+    cone_mwu_step,
+)
+from conedp.solvers import (  # noqa: E402
+    SolverConfig,
+    solve_covering_high_sensitivity,
+    solve_feasibility,
+)
 
 JACOBI_RANKS = (2, 3, 5, 8, 10)
 STEP_SPECS = ("s3", "s8", "r2+s3+q4")
 WARM_STEPS = 50  # cone steps folded in before the timed one
 IO_ROWS = 4000
+PROJECTIONS = ((64, 62), (4096, 4000))  # (m, s)
+CANDIDATES = (80, 4000)
 
 
 def machine_facts() -> dict:
@@ -114,6 +133,26 @@ def cases(repeat: int, min_time: float) -> dict[str, float]:
         out[f"load_instance/m{IO_ROWS}"] = median_per_call(
             lambda: load_instance(path), repeat, min_time
         )
+    for m, s in PROJECTIONS:
+        # weights u^4 for uniform u: spread over decades, as after many updates
+        measure = DenseMeasure(np.random.default_rng(m).uniform(size=m) ** 4)
+        out[f"bregman_project/m{m}"] = median_per_call(
+            lambda: bregman_project(measure, s), repeat, min_time
+        )
+    for n in CANDIDATES:
+        scores = np.random.default_rng(n).standard_normal(n)
+        rng = RandomSource(n)
+        out[f"exponential_mechanism/n{n}"] = median_per_call(
+            lambda: exponential_mechanism(scores, 1.0, 1.0, rng), repeat, min_time
+        )
+    cover, meta = generate_covering_sdp(3, 64, 0, analytic=True)
+    opt = meta["planted_opt"]
+    config = SolverConfig(0.5 * opt, 0.1, PrivacyBudget(1.0, 0.01), density=62)
+    out["criterion10_solve"] = median_per_call(
+        lambda: solve_covering_high_sensitivity(cover, opt, config, RandomSource(0)),
+        repeat,
+        min_time,
+    )
     return out
 
 

@@ -45,10 +45,10 @@ from conedp.mechanisms import (
     PrivacyBudget,
     RandomSource,
     Sensitivity,
+    _gibbs_scale,
     advanced_composition,
     gaussian_mechanism,
 )
-from conedp.mechanisms import _gibbs_scale
 from conedp.mwu import (
     _projected,
     _reweighted,
@@ -453,9 +453,10 @@ def solve_covering_high_sensitivity(
     if s < s_floor:
         flags.append("density-below-theory")
 
-    # the private covering oracle and the dense update, unrolled: after the
-    # pick, a step depends only on the picked net point, so each distinct
-    # pick's update row is computed once (at most min(T, |net|) rows)
+    # the loop calls the projection, oracle and update kernels directly.
+    # After the pick a step depends only on the picked net point, so each
+    # distinct pick's row is computed once, when first picked: at most
+    # min(T, |net|) rows, never the whole net (nets reach 2M points).
     constraint_coords = instance.constraint_coords
     net_coords = net.coords
     scale = -_gibbs_scale(covering_oracle_sensitivity(opt, s), step_epsilon)

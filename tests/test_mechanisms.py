@@ -201,6 +201,14 @@ class TestExponential:
             assert _sample_index(p, u) == want
             assert exponential_mechanism(scores, sensitivity, epsilon, RandomSource(seed)) == want
 
+    def test_uniform_on_a_cdf_entry_takes_the_next_index(self):
+        # index i holds [cdf[i-1], cdf[i]): a zero-probability index is never
+        # drawn, not even by u = 0
+        p = np.array([0.0, 0.25, 0.25, 0.5])
+        for u, want in ((0.0, 1), (0.25, 2), (0.5, 3), (0.75, 3)):
+            assert _sample_index(p, u) == want
+            assert _sample_indices(p, np.array([u])).tolist() == [want]
+
     def test_uniform_past_the_cdf_takes_the_last_index(self):
         u = 1.0 - 2.0**-53  # the largest uniform a source returns
         gen = np.random.default_rng(3)
