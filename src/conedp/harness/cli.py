@@ -157,9 +157,16 @@ def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, d
     instance, metadata = _load(instance_path)
     if solver == "covering-hs" and opt is None:
         opt = metadata.get("planted_opt")
+    # every setting is checked before the first solve writes a row
+    try:
+        grid = [float(tok) for tok in eps_grid.split(",")]
+    except ValueError as exc:
+        raise click.BadParameter(
+            f"{eps_grid!r} is not a comma-separated list of numbers", param_hint="'--eps-grid'"
+        ) from exc
+    configs = [_config(eps, delta, alpha, beta, density, dinf) for eps in grid]
     any_flags = False
-    for eps in (float(tok) for tok in eps_grid.split(",")):
-        config = _config(eps, delta, alpha, beta, density, dinf)
+    for eps, config in zip(grid, configs):
         records = _run(instance, solver, config, range(seeds), opt)
         write_records(csv_path, records, include_wall=True, append=True)
         any_flags = any_flags or any(r.guarantee_flags for r in records)

@@ -477,6 +477,28 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "Error: alpha must be positive" in result.output
 
+    @pytest.mark.parametrize(
+        "grid, message", [("1,abc", "is not a comma-separated list"), ("1,-1", "epsilon must")]
+    )
+    def test_bad_eps_grid_fails_before_any_row(self, tmp_path, grid, message):
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        csv_path = tmp_path / "bench.csv"
+        result = runner.invoke(
+            cli_main,
+            ["bench", "--instance", str(inst_path), "--solver", "scalar", "--dinf", "0.05",
+             "--eps-grid", grid, "--seeds", "1", "--alpha", "0.5", "--csv", str(csv_path)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert not csv_path.exists()
+
     def test_usage_error_is_exit_one(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, ["gen", "--kind", "covering-sdp", "--m", "4",
