@@ -460,7 +460,7 @@ def solve_covering_high_sensitivity(
     constraint_coords = instance.constraint_coords
     net_coords = net.coords
     scale = -_gibbs_scale(covering_oracle_sensitivity(opt, s), step_epsilon)
-    rows: dict[int, _CoveringRow] = {}
+    rows: dict[int, tuple[np.ndarray, bool, int, float]] = {}
     weights = uniform_measure(m).weights
     avg_coords = np.zeros(instance.algebra.dim)
     trace_rows: list[tuple[int, int, float]] | None = (
@@ -472,42 +472,30 @@ def solve_covering_high_sensitivity(
         row = rows.get(pick)
         if row is None:
             row = rows[pick] = _covering_row(instance, net_coords[pick], rho, eta)
-        avg_coords += row.point
-        weights = _reweighted(weights, row.factors)
-        if row.width_exceeded and "width-exceeded" not in flags:
+        factors, width_exceeded, worst, worst_raw = row
+        avg_coords += net_coords[pick]
+        weights = _reweighted(weights, factors)
+        if width_exceeded and "width-exceeded" not in flags:
             flags.append("width-exceeded")
         if trace_rows is not None:
-            trace_rows.append((t, row.worst, row.worst_raw))
+            trace_rows.append((t, worst, worst_raw))
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, tuple(flags), trace_rows)
 
 
-@dataclass(frozen=True)
-class _CoveringRow:
-    """What a covering step needs of one picked net point."""
-
-    point: np.ndarray  # the point's coordinates
-    factors: np.ndarray  # the dense update's exp(-eta * loss) per row
-    width_exceeded: bool  # some raw loss |b_i - <a_i, p>| passed rho
-    worst: int  # the row of the largest raw loss, and that loss
-    worst_raw: float
-
-
 def _covering_row(
     instance: ScpInstance, point: np.ndarray, rho: float, eta: float
-) -> _CoveringRow:
-    """Raw losses b_i - <a_i, p>, mapped affinely into [0, 1] by the width
-    bound rho, for one net point p."""
+) -> tuple[np.ndarray, bool, int, float]:
+    """What a covering step needs of one net point p: the dense update's
+    factors exp(-eta * loss), for the raw losses b_i - <a_i, p> mapped
+    affinely into [0, 1] by the width bound rho; whether some raw loss
+    passed rho in absolute value; the row of the largest raw loss, and
+    that loss."""
     raw = instance.scalars - instance.constraint_coords @ point
     losses = np.clip(raw / (2.0 * rho) + 0.5, 0.0, 1.0)
     worst = int(np.argmax(raw))
-    return _CoveringRow(
-        point,
-        _update_factors(losses, eta),
-        bool(np.max(np.abs(raw)) > rho + 1e-9),
-        worst,
-        float(raw[worst]),
-    )
+    exceeded = bool(np.max(np.abs(raw)) > rho + 1e-9)
+    return _update_factors(losses, eta), exceeded, worst, float(raw[worst])
 
 
 # ---------------------------------------------------------------------------
