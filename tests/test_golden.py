@@ -86,9 +86,11 @@ def _private_config(alpha, epsilon, delta, sensitivity) -> SolverConfig:
     )
 
 
-def _traced_feasibility(spec: str, seed: int) -> str:
-    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
-    return _traced_digest(solve_feasibility(instance, 0.3, collect_trace=True))
+def _traced_feasibility(
+    spec: str, seed: int, m: int = 8, margin: float = 0.05, alpha: float = 0.3
+) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), m, margin, seed)
+    return _traced_digest(solve_feasibility(instance, alpha, collect_trace=True))
 
 
 def _traced_feasibility_ge(seed: int) -> str:
@@ -98,14 +100,14 @@ def _traced_feasibility_ge(seed: int) -> str:
     return _traced_digest(solve_feasibility(instance, 0.2, collect_trace=True))
 
 
-def _traced_scalar(spec: str, seed: int, sensitivity: float) -> str:
-    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+def _traced_scalar(spec: str, seed: int, sensitivity: float, m: int = 8) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), m, 0.05, seed)
     config = _private_config(0.3, 1.0, 1e-5, sensitivity)
     return _traced_digest(solve_scalar_private(instance, config, RandomSource(seed)))
 
 
-def _traced_constraint(spec: str, seed: int, sensitivity: float) -> str:
-    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), 8, 0.05, seed)
+def _traced_constraint(spec: str, seed: int, sensitivity: float, m: int = 8) -> str:
+    instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec(spec), m, 0.05, seed)
     config = _private_config(0.5, 2.0, 0.05, sensitivity)
     return _traced_digest(solve_constraint_private(instance, config, RandomSource(seed)))
 
@@ -276,6 +278,7 @@ GOLDEN = {
     "traced-constraint-r2+s3+q4-5": "95079e3368c80b7b5fe8a1f20205367f5bb7797a7eed6016f2c146d9ee57e0ec",
     "traced-constraint-s2+s5-5": "5743915edd16a3d6b8ff571899584bd2b16b90f13f0b062277959cf73aa771cf",
     "traced-constraint-s3-5": "ed86c7334fd5e492f7ae3e913e1a04be99128c0658b94d7310b7ccb805a7b3c7",
+    "traced-constraint-s3-m32-900": "851215d62b18df8483f90957ef88c446269eaf4d687861d0bf9d8fff562ca620",
     "traced-covering-s2-5": "083fccc3d644cede85e1317d17bfd2c7b721d1132df41ccb4aff89094a643d12",
     "traced-covering-s3-m64-101-4": "12f506c50f4d299ce5088e43fc74211527d96466470adcb0d8c36215a1c5db38",
     "traced-covering-s3-m64-analytic-3": "13b0dc091e99ba92065ac873f60058a20b271bfa3c768e7263310dd6a6950885",
@@ -285,8 +288,12 @@ GOLDEN = {
     "traced-feasibility-r2+s3+q4-1": "23be46cbcfb68a3e90086208204b4d0b66d6ee2e2ef2e55788636dbe95faceda",
     "traced-feasibility-s2+s5-1": "c15283c385ff55ed13bf524970c6102f0f7f2ecf095c843b409ef4c0f33b6f6f",
     "traced-feasibility-s3-1": "2d95162ca6b959447335652a4df76242756538a0f19230ee05ab493bbd20c81f",
+    "traced-feasibility-s3-m32-900": "2554064ea78ccd5ed216e7b4f2481ae0e159e00713125b21ba99597c630d3a6a",
+    "traced-feasibility-s8-m32-900": "4c8ca2595d05734abc1c359f421dbefb7e9cef90cb21b7aa1088898c34bc9b0f",
     "traced-scalar-exact-s3-3": "8e90ddbf1181ff660106ff0dafe5a13527e6a913c70b52e623abef35ff14deaa",
     "traced-scalar-r2+s3+q4-3": "ee2e116b82853cd780c0622b0e54dd0bcd171bb75d87df44d57657de270f9068",
+    "traced-scalar-r2+s3+q4-m400-3": "98ee1996d1f138cedeedcfdc272defee58f968dc39c86997c0fc0ad4130f4a99",
+    "traced-scalar-r2+s3+q4-m400-4": "2e927d0ca0863b9b702bfaaa987fcc214aa95a173f7af12069f764b3bfae819d",
     "traced-scalar-s2+s5-3": "97a047034d498ff60c5f5aec5317d2b33fa73c8446745255a1a91204bbc3d5fb",
     "traced-scalar-s3-3": "8ef025645dcef86ca411d17295696055b6332e1a6222e93be4e94097931b0ab0",
 }
@@ -297,10 +304,19 @@ CASES = {
     **{f"covering-s2-{s}": (_covering, s) for s in (0, 5, 6)},
     **{f"traced-feasibility-{a}-{s}": (_traced_feasibility, a, s) for a in _ALGEBRAS for s in (1,)},
     **{f"traced-feasibility-ge-s2-{s}": (_traced_feasibility_ge, s) for s in (5, 6)},
+    # the criterion-09 size (S3, m = 32, margin 0, alpha = 0.1) and an S8 exact solve
+    "traced-feasibility-s3-m32-900": (_traced_feasibility, "s3", 900, 32, 0.0, 0.1),
+    "traced-feasibility-s8-m32-900": (_traced_feasibility, "s8", 900, 32, 0.0, 0.3),
+    # r = 7 and m = 400: the private-wide algebra and T = 346
+    **{
+        f"traced-scalar-r2+s3+q4-m400-{s}": (_traced_scalar, "r2+s3+q4", s, 0.05, 400)
+        for s in (3, 4)
+    },
     **{f"traced-scalar-{a}-{s}": (_traced_scalar, a, s, 0.05) for a in _ALGEBRAS for s in (3,)},
     "traced-scalar-exact-s3-3": (_traced_scalar, "s3", 3, 0.0),
     **{f"traced-constraint-{a}-{s}": (_traced_constraint, a, s, 0.01) for a in _ALGEBRAS for s in (5,)},
     "traced-constraint-exact-s3-5": (_traced_constraint, "s3", 5, 0.0),
+    "traced-constraint-s3-m32-900": (_traced_constraint, "s3", 900, 0.01, 32),
     **{f"traced-constraint-loss-bound-s2-{s}": (_traced_constraint_loss_bound, s) for s in (1, 2)},
     "traced-covering-s2-5": (_traced_covering, 5),
     "traced-covering-s3-m64-analytic-3": (_covering_s3, None, None, 0.5, 3),
