@@ -428,7 +428,8 @@ def _jacobi_lists(
 ) -> tuple[list[float], list[list[float]] | None]:
     """:func:`_jacobi_eigh` as float lists: the eigenvalues in descending
     order and, when ``vectors``, the matching unit eigenvectors, one list
-    each."""
+    each.  This is the checked prelude (finiteness, exact symmetry, the
+    threshold and the overflow rescale) of :func:`_jacobi_sweeps`."""
     a = np.array(mat, dtype=float)
     n = a.shape[0]
     if n == 1:
@@ -443,8 +444,16 @@ def _jacobi_lists(
         exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
         vals, vecs = _jacobi_lists(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
         return np.ldexp(vals, exponent).tolist(), vecs
-    thresh = tol * max(1.0, scale)
-    rows = a.tolist()
+    return _jacobi_sweeps(a.tolist(), tol * max(1.0, scale), max_sweeps, vectors)
+
+
+def _jacobi_sweeps(
+    rows: list[list[float]], thresh: float, max_sweeps: int, vectors: bool
+) -> tuple[list[float], list[list[float]] | None]:
+    """The sweeps of :func:`_jacobi_eigh` on the rows of a finite, exactly
+    symmetric n x n matrix, n >= 2, rotated in place until the off-diagonal
+    norm is at or below ``thresh``."""
+    n = len(rows)
     # eigenvector columns, stored as rows so each rotation is two list builds
     vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
     plan = _pair_plan(n)
@@ -677,33 +686,36 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     return vals[np.argsort(-vals, kind="stable")]
 
 
-def _spectral_entries(x: EjaElement) -> list[tuple[float, int, object]]:
+def _spectral_entries(
+    factors: Sequence[Factor], blocks: Sequence[np.ndarray]
+) -> list[tuple[float, int, list[float]]]:
     """(eigenvalue, factor index, frame data) sorted descending.
 
-    The frame data is the frame element's coefficients within its own
-    factor, except in a symmetric factor, where it is the unit eigenvector
-    u as a float list and the coefficients are u u^T.  Ties keep factor
-    order (the sort is stable).
+    The frame data is a float list: the frame element's coefficients within
+    its own factor, except in a symmetric factor, where it is the unit
+    eigenvector u and the coefficients are u u^T.  Ties keep factor order
+    (the sort is stable).  The spin factor's frame (1, +-xbar/|xbar|)/2 is
+    formed with the arithmetic of the numpy expression
+    0.5 * concatenate(([1], sgn * xbar / |xbar|)).
     """
-    entries: list[tuple[float, int, object]] = []
-    for idx, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
+    entries: list[tuple[float, int, list[float]]] = []
+    for idx, (f, b) in enumerate(zip(factors, blocks)):
         if isinstance(f, RealVector):
-            for i in range(f.k):
-                basis = np.zeros(f.k)
+            for i, value in enumerate(b.tolist()):
+                basis = [0.0] * f.k
                 basis[i] = 1.0
-                entries.append((float(b[i]), idx, basis))
+                entries.append((value, idx, basis))
         elif isinstance(f, SymMatrix):
             vals, vecs = _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, True)
             entries.extend(zip(vals, itertools.repeat(idx), vecs))
         else:
             radius = float(np.linalg.norm(b[1:]))
             if radius > 0.0:
-                direction = b[1:] / radius
+                direction = [x / radius for x in b[1:].tolist()]
             else:
-                direction = np.zeros(f.n - 1)
-                direction[0] = 1.0
+                direction = [1.0] + [0.0] * (f.n - 2)
             for sgn in (1.0, -1.0):
-                q = 0.5 * np.concatenate(([1.0], sgn * direction))
+                q = [0.5] + [0.5 * (sgn * x) for x in direction]
                 entries.append((float(b[0] + sgn * radius), idx, q))
     entries.sort(key=lambda e: -e[0])
     return entries
@@ -720,7 +732,7 @@ def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     combined spectrum is sorted descending with ties kept in factor order.
     """
     alg = x.algebra
-    entries = _spectral_entries(x)
+    entries = _spectral_entries(alg.factors, x.blocks)
     frame = []
     for _, idx, data in entries:
         blocks = [np.zeros(_block_shape(f)) for f in alg.factors]
@@ -729,42 +741,62 @@ def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([e[0] for e in entries]), tuple(frame))
 
 
-def _spectral_apply(
-    x: EjaElement, weights_of: Callable[[np.ndarray], np.ndarray]
-) -> EjaElement:
-    """sum w_i q_i with w = weights_of(descending spectrum), no frame built.
+def _spectral_sums(
+    factors: Sequence[Factor],
+    blocks: Sequence[np.ndarray],
+    weights_of: Callable[[np.ndarray], np.ndarray],
+) -> list[list]:
+    """sum w_i q_i with w = weights_of(descending spectrum), as float lists.
 
-    Each w_i q_i is added into its own factor's block only, as sequential
-    rank-one updates in descending eigenvalue order.  A symmetric block is
-    summed in Python floats over its upper triangle, entry (p, q) taking
-    acc + w * (u_p * u_q), and then mirrored: the arithmetic of
-    ``acc += w * np.outer(u, u)``, and u_q * u_p == u_p * u_q exactly.  For
+    Per factor, a symmetric block is its r rows with only the upper
+    triangle summed (row p from column p on), any other block a flat list.
+    Each w_i q_i is added into its own factor only, as sequential rank-one
+    updates in descending eigenvalue order: entry (p, q) of a symmetric
+    block takes acc + w * (u_p * u_q), the arithmetic of
+    ``acc += w * np.outer(u, u)`` (u_q * u_p == u_p * u_q exactly), and
+    entry q of another block acc + w * q_q, that of ``acc += w * q``.  For
     finite weights the sums match a recombination over the full frame bit
     for bit: the skipped terms are the frame's zero blocks, and adding
     w * 0.0 changes nothing.
     """
-    entries = _spectral_entries(x)
+    entries = _spectral_entries(factors, blocks)
     weights = weights_of(np.array([e[0] for e in entries]))
-    blocks: list = [
-        [[0.0] * f.r for _ in range(f.r)] if isinstance(f, SymMatrix) else np.zeros(f.dim)
-        for f in x.algebra.factors
+    sums: list[list] = [
+        [[0.0] * f.r for _ in range(f.r)] if isinstance(f, SymMatrix) else [0.0] * f.dim
+        for f in factors
     ]
     for w, (_, idx, data) in zip(weights.tolist(), entries):
-        acc = blocks[idx]
-        if isinstance(acc, list):
+        acc = sums[idx]
+        if isinstance(factors[idx], SymMatrix):
             for p, row in enumerate(acc):
                 up = data[p]
                 for q in range(p, len(row)):
                     row[q] = row[q] + w * (up * data[q])
         else:
-            acc += w * data
-    for idx, acc in enumerate(blocks):
-        if isinstance(acc, list):
+            for q, d in enumerate(data):
+                acc[q] = acc[q] + w * d
+    return sums
+
+
+def _sums_element(alg: AlgebraDescriptor, sums: list[list]) -> EjaElement:
+    """The element of :func:`_spectral_sums`' lists, symmetric blocks
+    mirrored from their upper triangle."""
+    blocks = []
+    for f, acc in zip(alg.factors, sums):
+        if isinstance(f, SymMatrix):
             for p, row in enumerate(acc):
                 for q in range(p):
                     row[q] = acc[q][p]
-            blocks[idx] = np.array(acc)
-    return EjaElement._derived(x.algebra, blocks)
+        blocks.append(np.array(acc))
+    return EjaElement._derived(alg, blocks)
+
+
+def _spectral_apply(
+    x: EjaElement, weights_of: Callable[[np.ndarray], np.ndarray]
+) -> EjaElement:
+    """sum w_i q_i with w = weights_of(descending spectrum), no frame built
+    (see :func:`_spectral_sums`)."""
+    return _sums_element(x.algebra, _spectral_sums(x.algebra.factors, x.blocks, weights_of))
 
 
 def expm(x: EjaElement) -> EjaElement:
@@ -825,6 +857,21 @@ def to_coords(x: EjaElement) -> np.ndarray:
     return np.concatenate(
         [_factor_coords(f, b) for f, b in zip(x.algebra.factors, x.blocks)]
     )
+
+
+def _sums_coords(factors: Sequence[Factor], sums: list[list]) -> np.ndarray:
+    """``to_coords(_sums_element(alg, sums))`` read straight from the lists
+    of :func:`_spectral_sums`, with the same products by sqrt(2)."""
+    out: list[float] = []
+    for f, acc in zip(factors, sums):
+        if isinstance(f, RealVector):
+            out += acc
+        elif isinstance(f, SymMatrix):
+            out += [acc[p][p] for p in range(f.r)]
+            out += [_SQRT2 * acc[p][q] for p, q, _ in _pair_plan(f.r)]
+        else:
+            out += [_SQRT2 * v for v in acc]
+    return np.array(out)
 
 
 def from_coords(alg: AlgebraDescriptor, v: Sequence[float]) -> EjaElement:

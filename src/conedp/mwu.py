@@ -19,12 +19,14 @@ import numpy as np
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
+    Factor,
     identity,
     inner,
     norm,
     spectral_decompose,
     zero,
-    _spectral_apply,
+    _spectral_sums,
+    _sums_element,
 )
 
 __all__ = [
@@ -82,12 +84,30 @@ def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
     exponent at or below zero.
     """
     loss._check_same(state.iterate)
-    for b in loss.blocks:
-        if not np.all(np.isfinite(b)):
-            raise ValueError("loss element contains non-finite values")
+    _finite_loss(loss.blocks)
     cumulative = state.cumulative_loss + loss
-    iterate = _spectral_apply(-state.eta * cumulative, _normalized_exp)
+    alg = cumulative.algebra
+    iterate = _sums_element(alg, _exp_sums(alg.factors, state.eta, cumulative.blocks))
     return ConeMwuState(state.algebra, state.eta, cumulative, iterate)
+
+
+def _finite_loss(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The blocks of a loss, after checking that every entry is finite."""
+    for b in blocks:
+        if not np.isfinite(b).all():
+            raise ValueError("loss element contains non-finite values")
+    return blocks
+
+
+def _exp_sums(
+    factors: tuple[Factor, ...], eta: float, cumulative: list[np.ndarray] | tuple[np.ndarray, ...]
+) -> list[list]:
+    """The step kernel: the normalized exp(-eta * cumulative) for the
+    per-factor blocks of the cumulative loss, as the float lists of
+    ``eja._spectral_sums``.  The scaled blocks are (-eta) * block, the
+    arithmetic of ``-eta * element``."""
+    scale = -eta
+    return _spectral_sums(factors, [scale * b for b in cumulative], _normalized_exp)
 
 
 def cone_mwu_regret_certificate(

@@ -32,6 +32,7 @@ import numpy as np
 
 from conedp.eja import (
     EjaElement,
+    _sums_coords,
     from_coords,
     identity,
     inner,
@@ -50,11 +51,12 @@ from conedp.mechanisms import (
     gaussian_mechanism,
 )
 from conedp.mwu import (
+    _exp_sums,
+    _finite_loss,
     _projected,
     _reweighted,
     _update_factors,
     cone_mwu_init,
-    cone_mwu_step,
     uniform_measure,
 )
 from conedp.oracles import (
@@ -203,7 +205,7 @@ def _primal_mwu(
     iterations: int,
     eta: float,
     oracle: tuple[float, float] | None,
-    loss_of: Callable[[int, RandomSource], EjaElement],
+    loss_of: Callable[[int, RandomSource], tuple[np.ndarray, ...]],
     rng: RandomSource | None,
     collect_trace: bool,
 ) -> SolveReport:
@@ -213,14 +215,21 @@ def _primal_mwu(
     is already satisfied makes no update.  Otherwise it is the (epsilon,
     sensitivity) of the private dual oracle, and every pick updates, since
     a skip would branch on private data.  ``loss_of`` maps the picked index
-    to the loss element (this is where private variants inject noise).
+    to the loss's per-factor blocks, checked finite (this is where private
+    variants inject noise).
+
+    Each step is the arithmetic of :func:`cone_mwu_step` on per-factor
+    arrays: the cumulative loss is a list of blocks, and the step kernel
+    returns the new iterate's sums, read straight into coordinates.
     """
     epsilon, sensitivity = oracle or (0.0, 0.0)
     state = cone_mwu_init(instance.algebra, eta)
+    factors = instance.algebra.factors
+    cumulative = list(state.cumulative_loss.blocks)
+    coords = to_coords(state.iterate)
     avg_coords = np.zeros(instance.algebra.dim)
     trace_rows: list[tuple[int, int, float]] | None = [] if collect_trace else None
     for t in range(1, iterations + 1):
-        coords = to_coords(state.iterate)
         avg_coords += coords
         scores = instance.violations(coords)
         idx = dual_oracle_private(scores, epsilon, sensitivity, rng)
@@ -228,7 +237,8 @@ def _primal_mwu(
             trace_rows.append((t, idx, float(scores[idx])))
         if oracle is None and scores[idx] <= 0.0:
             continue
-        state = cone_mwu_step(state, loss_of(idx, rng))
+        cumulative = [c + l for c, l in zip(cumulative, loss_of(idx, rng))]
+        coords = _sums_coords(factors, _exp_sums(factors, state.eta, cumulative))
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, (), trace_rows)
 
@@ -279,9 +289,14 @@ def _feasibility(
     if budget is not None:
         oracle = (advanced_composition(budget, iterations), sensitivity)
     signs = instance.sense_signs
+    # a picked row's loss is fixed for the solve: computed and checked once
+    losses: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def loss_of(idx: int, _rng: RandomSource) -> EjaElement:
-        return (signs[idx] / rho) * instance.row(idx)
+    def loss_of(idx: int, _rng: RandomSource) -> tuple[np.ndarray, ...]:
+        loss = losses.get(idx)
+        if loss is None:
+            loss = losses[idx] = _finite_loss(((signs[idx] / rho) * instance.row(idx)).blocks)
+        return loss
 
     return _primal_mwu(
         instance, alpha, iterations, eta, oracle, loss_of, rng, collect_trace
@@ -370,11 +385,11 @@ def solve_constraint_private(
     signs = instance.sense_signs
     exceeded = False
 
-    def loss_of(idx: int, rsrc: RandomSource) -> EjaElement:
+    def loss_of(idx: int, rsrc: RandomSource) -> tuple[np.ndarray, ...]:
         nonlocal exceeded
         loss = 0.5 * gaussian_mechanism(signs[idx] * instance.row(idx), sigma, rsrc)
         exceeded = exceeded or norm(loss, math.inf) > 1.0 + 1e-9
-        return loss
+        return _finite_loss(loss.blocks)
 
     report = _primal_mwu(
         instance,
