@@ -1,25 +1,32 @@
 """Per-layer timings of the cone and covering steps, written as a BENCH_*.json file.
 
-Each case is the median over ``--repeat`` timeit repeats of the time per
-call, in seconds: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
-spectral recombination and one cone MWU step on s3, s8 and r2+s3+q4, one
-criterion-09 exact solve (planted S3, m = 32, alpha = 0.1),
-``save_instance`` / ``load_instance`` of a 4,000-row r2+s3+q4 instance,
-the size of the private-wide benchmark file, ``bregman_project`` at
-m = 64 and 4,096 (s = m - 2 and m - 96, the dense regime of the covering
-solver), ``exponential_mechanism`` over 80 and 4,000 candidates, and one
+Each case is timed in CPU seconds per call (``time.process_time``) over
+``--repeat`` timeit repeats, and both the median and the minimum over the
+repeats are reported: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
+stacked eigenvalue Jacobi on the S3 stacks of a criterion-09 instance
+(m = 32) and of a 4,000-row r2+s3+q4 instance, the spectral recombination
+and one cone MWU step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
+(planted S3, m = 32, alpha = 0.1), ``save_instance`` / ``load_instance``
+and ``ScpInstance.violations`` on the 4,000-row instance (the size of the
+private-wide benchmark file), one scalar-private solve on it (epsilon 1,
+delta 1e-5, alpha 0.3, sensitivity 0.05: one solve of the private-wide
+benchmark sweep), ``bregman_project`` at m = 64 and 4,096
+(s = m - 2 and m - 96, the dense regime of the covering solver),
+``exponential_mechanism`` over 80 and 4,000 candidates, and one
 criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2).
-Inputs come from fixed seeds.  The script imports ``conedp`` from the checkout it sits in, so a
-copy of it in another checkout times that checkout.
+Inputs come from fixed seeds.  The script imports ``conedp`` from the
+checkout it sits in, so a copy of it in another checkout times that
+checkout.
 
     python benchmarks/layers.py --label parent --out a.json
     python benchmarks/layers.py --label change --baseline a.json --out b.json
     python benchmarks/layers.py --label parent --baseline b.json --out c.json
 
 With ``--baseline``, the output holds the earlier file's runs and this
-one, so alternating runs of two checkouts chain into one file.  It also
-holds each label's per-case median over its runs and, for two labels, the
-ratio of the second label's medians to the first's.
+one, so alternating runs of two checkouts in fresh interpreters chain into
+one file.  It also holds each label's per-case median of its runs'
+medians and minimum of its runs' minima and, for two labels, the ratios of
+the second label's values to the first's.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import platform
 import statistics
 import sys
 import tempfile
+import time
 import timeit
 from pathlib import Path
 
@@ -43,14 +51,26 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from conedp.eja import AlgebraDescriptor, _jacobi_eigh, _spectral_apply  # noqa: E402
+from conedp.eja import (  # noqa: E402
+    AlgebraDescriptor,
+    _jacobi_eigh,
+    _jacobi_eigvals_stacked,
+    _spectral_apply,
+    identity,
+    to_coords,
+)
 from conedp.harness.generators import (  # noqa: E402
     generate_covering_sdp,
     generate_feasible_scp,
     random_element,
 )
 from conedp.harness.instances import load_instance, save_instance  # noqa: E402
-from conedp.mechanisms import PrivacyBudget, RandomSource, exponential_mechanism  # noqa: E402
+from conedp.mechanisms import (  # noqa: E402
+    PrivacyBudget,
+    RandomSource,
+    Sensitivity,
+    exponential_mechanism,
+)
 from conedp.mwu import (  # noqa: E402
     DenseMeasure,
     _normalized_exp,
@@ -62,6 +82,7 @@ from conedp.solvers import (  # noqa: E402
     SolverConfig,
     solve_covering_high_sensitivity,
     solve_feasibility,
+    solve_scalar_private,
 )
 
 JACOBI_RANKS = (2, 3, 5, 8, 10)
@@ -90,22 +111,24 @@ def machine_facts() -> dict:
     }
 
 
-def median_per_call(fn, repeat: int, min_time: float) -> float:
-    """Median over ``repeat`` timeit runs of the seconds per call; each run
-    makes as many calls as one run of ``min_time`` seconds needs."""
-    timer = timeit.Timer(fn)
+def per_call(fn, repeat: int, min_time: float) -> tuple[float, float]:
+    """Median and minimum over ``repeat`` timeit runs of the CPU seconds per
+    call; each run makes as many calls as one run of ``min_time`` CPU
+    seconds needs."""
+    timer = timeit.Timer(fn, timer=time.process_time)
     number = 1
     while timer.timeit(number) < min_time:
         number *= 2
-    return statistics.median(t / number for t in timer.repeat(repeat, number))
+    times = [t / number for t in timer.repeat(repeat, number)]
+    return statistics.median(times), min(times)
 
 
-def cases(repeat: int, min_time: float) -> dict[str, float]:
-    out: dict[str, float] = {}
+def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
+    out: dict[str, tuple[float, float]] = {}
     for r in JACOBI_RANKS:
         g = np.random.default_rng(r).standard_normal((r, r))
         mat = g + g.T
-        out[f"jacobi_eigh/r{r}"] = median_per_call(lambda: _jacobi_eigh(mat), repeat, min_time)
+        out[f"jacobi_eigh/r{r}"] = per_call(lambda: _jacobi_eigh(mat), repeat, min_time)
     for spec in STEP_SPECS:
         alg = AlgebraDescriptor.from_spec(spec)
         rng = RandomSource(7)
@@ -114,41 +137,54 @@ def cases(repeat: int, min_time: float) -> dict[str, float]:
             state = cone_mwu_step(state, random_element(alg, rng, 0.3))
         loss = random_element(alg, rng, 0.3)
         x = -state.eta * state.cumulative_loss
-        out[f"spectral_apply/{spec}"] = median_per_call(
+        out[f"spectral_apply/{spec}"] = per_call(
             lambda: _spectral_apply(x, _normalized_exp), repeat, min_time
         )
-        out[f"cone_mwu_step/{spec}"] = median_per_call(
+        out[f"cone_mwu_step/{spec}"] = per_call(
             lambda: cone_mwu_step(state, loss), repeat, min_time
         )
     instance, _ = generate_feasible_scp(AlgebraDescriptor.sym(3), 32, 0.0, seed=900)
-    out["criterion09_solve"] = median_per_call(
+    out["criterion09_solve"] = per_call(
         lambda: solve_feasibility(instance, 0.1, rng=RandomSource(0)), repeat, min_time
     )
     wide, meta = generate_feasible_scp(AlgebraDescriptor.from_spec("r2+s3+q4"), IO_ROWS, 0.05, 11)
+    for stack in (instance.blocks[0], wide.blocks[1]):
+        out[f"jacobi_eigvals_stacked/m{len(stack)}"] = per_call(
+            lambda: _jacobi_eigvals_stacked(stack), repeat, min_time
+        )
+    alg = wide.algebra
+    uniform = to_coords(identity(alg) / alg.rank)
+    out[f"violations/m{IO_ROWS}"] = per_call(lambda: wide.violations(uniform), repeat, min_time)
+    config = SolverConfig(
+        0.3, 0.05, PrivacyBudget(1.0, 1e-5), sensitivity=Sensitivity(0.05, "linf")
+    )
+    out[f"scalar_solve/r2+s3+q4-m{IO_ROWS}"] = per_call(
+        lambda: solve_scalar_private(wide, config, RandomSource(0)), repeat, min_time
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "wide.json"
-        out[f"save_instance/m{IO_ROWS}"] = median_per_call(
+        out[f"save_instance/m{IO_ROWS}"] = per_call(
             lambda: save_instance(path, wide, meta), repeat, min_time
         )
-        out[f"load_instance/m{IO_ROWS}"] = median_per_call(
+        out[f"load_instance/m{IO_ROWS}"] = per_call(
             lambda: load_instance(path), repeat, min_time
         )
     for m, s in PROJECTIONS:
         # weights u^4 for uniform u: spread over decades, as after many updates
         measure = DenseMeasure(np.random.default_rng(m).uniform(size=m) ** 4)
-        out[f"bregman_project/m{m}"] = median_per_call(
+        out[f"bregman_project/m{m}"] = per_call(
             lambda: bregman_project(measure, s), repeat, min_time
         )
     for n in CANDIDATES:
         scores = np.random.default_rng(n).standard_normal(n)
         rng = RandomSource(n)
-        out[f"exponential_mechanism/n{n}"] = median_per_call(
+        out[f"exponential_mechanism/n{n}"] = per_call(
             lambda: exponential_mechanism(scores, 1.0, 1.0, rng), repeat, min_time
         )
     cover, meta = generate_covering_sdp(3, 64, 0, analytic=True)
     opt = meta["planted_opt"]
     config = SolverConfig(0.5 * opt, 0.1, PrivacyBudget(1.0, 0.01), density=62)
-    out["criterion10_solve"] = median_per_call(
+    out["criterion10_solve"] = per_call(
         lambda: solve_covering_high_sensitivity(cover, opt, config, RandomSource(0)),
         repeat,
         min_time,
@@ -161,38 +197,48 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--repeat", type=int, default=7, help="timeit repeats per case")
     parser.add_argument(
-        "--min-time", type=float, default=0.2, help="seconds per timeit repeat, at least"
+        "--min-time", type=float, default=0.2, help="CPU seconds per timeit repeat, at least"
     )
     parser.add_argument("--label", default="change", help="name of this run's side")
     parser.add_argument("--baseline", type=Path, help="an earlier output to extend")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    timings = cases(args.repeat, args.min_time)
     run = {
         "label": args.label,
         "machine": machine_facts(),
         "repeat": args.repeat,
-        "unit": "s per call, median over repeats",
-        "cases": cases(args.repeat, args.min_time),
+        "unit": "CPU s per call (process_time), median and minimum over repeats",
+        "cases": {name: median for name, (median, _) in timings.items()},
+        "minima": {name: minimum for name, (_, minimum) in timings.items()},
     }
     runs = json.loads(args.baseline.read_text())["runs"] if args.baseline else []
     runs.append(run)
     labels = list(dict.fromkeys(r["label"] for r in runs))  # first-seen order
-    medians = {
-        label: {
-            name: statistics.median(r["cases"][name] for r in runs if r["label"] == label)
-            for name in run["cases"]
-        }
-        for label in labels
+    summaries = {
+        "medians": (statistics.median, "cases"),
+        "minima": (min, "minima"),
     }
-    result = {"runs": runs, "medians": medians}
+    result = {"runs": runs}
+    for key, (combine, field) in summaries.items():
+        result[key] = {
+            label: {
+                name: combine(r[field][name] for r in runs if r["label"] == label)
+                for name in timings
+            }
+            for label in labels
+        }
     if len(labels) == 2:
-        base, other = (medians[label] for label in labels)
-        result["ratio"] = {name: other[name] / base[name] for name in run["cases"]}
+        for key, ratio_key in (("medians", "ratio"), ("minima", "ratio_of_minima")):
+            base, other = (result[key][label] for label in labels)
+            result[ratio_key] = {name: other[name] / base[name] for name in timings}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
-    for name, value in run["cases"].items():
-        ratio = result.get("ratio", {}).get(name)
-        print(f"{name:28s} {value * 1e6:12.1f} us" + (f"  x{ratio:.3f}" if ratio else ""))
+    for name, (median, minimum) in timings.items():
+        line = f"{name:36s} {median * 1e6:12.1f} us  min {minimum * 1e6:12.1f} us"
+        if "ratio" in result:
+            line += f"  x{result['ratio'][name]:.3f}  min x{result['ratio_of_minima'][name]:.3f}"
+        print(line)
     return 0
 
 

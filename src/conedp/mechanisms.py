@@ -28,6 +28,7 @@ __all__ = [
     "exponential_mechanism_sample",
     "exponential_mechanism_error_bound",
     "advanced_composition",
+    "CompositionRangeError",
     "chi_square_tail_thresholds",
 ]
 
@@ -43,8 +44,8 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 
@@ -57,8 +58,8 @@ class Sensitivity:
     norm: str = "l2"
 
     def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError(f"sensitivity must be nonnegative, got {self.value}")
+        if not (0.0 <= self.value < math.inf):
+            raise ValueError(f"sensitivity must be nonnegative and finite, got {self.value}")
         if self.norm not in _NORM_TAGS:
             raise ValueError(f"norm tag must be one of {_NORM_TAGS}, got {self.norm!r}")
 
@@ -277,18 +278,35 @@ def exponential_mechanism_error_bound(
 # ---------------------------------------------------------------------------
 
 
+class CompositionRangeError(ValueError):
+    """The closed-form per-step epsilon would overspend the budget."""
+
+
 def advanced_composition(budget: PrivacyBudget, num_mechanisms: int) -> float:
     """Per-step epsilon so that k adaptive steps compose to (eps, delta).
 
-    Returns eps / sqrt(8 k log(1/delta)).
+    Returns eps0 = eps / sqrt(8 k log(1/delta)).  By the advanced
+    composition theorem (Dwork, Rothblum & Vadhan, FOCS 2010), k eps0-DP
+    steps compose to sqrt(2 k log(1/delta)) eps0 + k eps0 (e^eps0 - 1),
+    whose first term is eps / 2.  So the total stays within eps only while
+    the second term is at most eps / 2, which fails once eps passes about
+    4 log(1/delta); there a CompositionRangeError is raised.
     """
     if num_mechanisms < 1:
         raise ValueError(f"num_mechanisms must be >= 1, got {num_mechanisms}")
     if budget.delta <= 0.0:
         raise ValueError("advanced composition requires delta > 0")
-    return budget.epsilon / math.sqrt(
+    step = budget.epsilon / math.sqrt(
         8.0 * num_mechanisms * math.log(1.0 / budget.delta)
     )
+    overshoot = num_mechanisms * step * math.expm1(step)
+    if overshoot > 0.5 * budget.epsilon:
+        raise CompositionRangeError(
+            f"advanced composition of {num_mechanisms} steps overspends epsilon = "
+            f"{budget.epsilon:g} at delta = {budget.delta:g}: the per-step epsilon "
+            f"{step:.3g} composes to {0.5 * budget.epsilon + overshoot:.3g}"
+        )
+    return step
 
 
 def chi_square_tail_thresholds(k: int, sigma: float, t: float) -> tuple[float, float]:

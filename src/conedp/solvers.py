@@ -107,8 +107,8 @@ class SolverConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if self.density < 1:
@@ -252,9 +252,13 @@ def _planned_iterations(numerator: float, alpha: float) -> int:
     """A schedule's step count T = ceil(numerator / alpha^2), at least 1.
 
     Raises ValueError when T exceeds ``_MAX_ITERATIONS``, naming T and an
-    alpha at most 1.5 % above the smallest that fits.
+    alpha at most 1.5 % above the smallest that fits, and when alpha^2
+    overflows.
     """
-    planned = numerator / alpha**2
+    try:
+        planned = numerator / alpha**2
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha:g} is too large: alpha^2 overflows") from None
     if planned > _MAX_ITERATIONS:
         smallest = 1.01 * math.sqrt(numerator / _MAX_ITERATIONS)  # fits once rounded
         raise ValueError(

@@ -418,6 +418,56 @@ class TestCli:
         assert not isinstance(result.exception, TypeError)
         assert "Error:" in result.output and message in result.output
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (["--eps", "inf"], "Error: epsilon must be positive and finite, got inf"),
+            (["--alpha", "1e300"], "Error: alpha = 1e+300 is too large: alpha^2 overflows"),
+            (["--alpha", "inf"], "Error: alpha must be positive and finite, got inf"),
+            (["--dinf", "inf"], "Error: sensitivity must be nonnegative and finite, got inf"),
+        ],
+        ids=["eps-inf", "alpha-1e300", "alpha-inf", "dinf-inf"],
+    )
+    def test_non_finite_setting_is_exit_one(self, tmp_path, setting, message):
+        # the criterion-09 instance: planted S3, m = 32, zero margin
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s3", "--m", "32", "--margin", "0",
+             "--seed", "900", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        args = ["solve", "--instance", str(inst_path), "--solver", "scalar",
+                "--alpha", "0.1", "--dinf", "0.05"] + setting
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.strip().splitlines() == [message]
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_overspending_budget_is_exit_one(self, tmp_path, command):
+        # eps = 20 > 4 log(1/0.05): the closed-form step epsilon overspends
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        args = [command, "--instance", str(inst_path), "--solver", "scalar",
+                "--delta", "0.05", "--alpha", "0.3", "--dinf", "0.05"]
+        if command == "bench":
+            args += ["--seeds", "1", "--eps-grid", "20", "--csv", str(tmp_path / "b.csv")]
+        else:
+            args += ["--eps", "20"]
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: advanced composition of")
+
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_iteration_cap_is_exit_one(self, tmp_path, command):
         # planted opt 26.8: the default alpha 0.1 plans about 7.9e7 steps

@@ -21,7 +21,7 @@ from conedp.mechanisms import (
     l1_gaussian_mechanism,
     linf_gaussian_mechanism,
 )
-from conedp.mechanisms import _sample_index, _sample_indices
+from conedp.mechanisms import CompositionRangeError, _sample_index, _sample_indices
 
 S2 = AlgebraDescriptor.sym(2)
 
@@ -35,6 +35,11 @@ class TestTypes:
             PrivacyBudget(1.0, 1.25)  # the would-be sigma=0 edge is rejected here
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, -0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                PrivacyBudget(bad, 0.01)
+            with pytest.raises(ValueError, match="delta must lie in"):
+                PrivacyBudget(1.0, bad)
 
     def test_sensitivity_validation(self):
         Sensitivity(0.0, "linf")
@@ -42,6 +47,9 @@ class TestTypes:
             Sensitivity(-1.0)
         with pytest.raises(ValueError):
             Sensitivity(1.0, "spectral")
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                Sensitivity(bad, "linf")
 
 
 class TestRandomSource:
@@ -271,6 +279,45 @@ class TestComposition:
     def test_delta_zero_rejected(self):
         with pytest.raises(ValueError):
             advanced_composition(PrivacyBudget(1.0, 0.0), 3)
+
+    @staticmethod
+    def composed(epsilon, delta, k):
+        """The advanced composition theorem's total for k steps at the
+        closed-form per-step epsilon."""
+        step = epsilon / math.sqrt(8.0 * k * math.log(1.0 / delta))
+        return math.sqrt(2.0 * k * math.log(1.0 / delta)) * step + k * step * (
+            math.exp(step) - 1.0
+        )
+
+    def test_grid_never_overspends(self):
+        outcomes = set()
+        for epsilon in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0):
+            for delta in (1e-9, 1e-5, 1e-3, 0.01, 0.05):
+                for k in (1, 10, 346, 10_000):
+                    budget = PrivacyBudget(epsilon, delta)
+                    total = self.composed(epsilon, delta, k)
+                    try:
+                        step = advanced_composition(budget, k)
+                    except CompositionRangeError:
+                        outcomes.add("raised")
+                        assert total > epsilon
+                    else:
+                        outcomes.add("returned")
+                        assert total <= epsilon * (1.0 + 1e-12)
+                        assert step == epsilon / math.sqrt(8.0 * k * math.log(1.0 / delta))
+        assert outcomes == {"raised", "returned"}
+
+    def test_overspend_names_the_total(self):
+        # eps = 20 > 4 log(20): the closed form would compose to about 28.7
+        with pytest.raises(CompositionRangeError, match=r"composes to 28\.7"):
+            advanced_composition(PrivacyBudget(20.0, 0.05), 346)
+        assert issubclass(CompositionRangeError, ValueError)
+
+    @pytest.mark.parametrize("epsilon, total", [(1.0, 0.51), (4.0, 2.18)])
+    def test_private_wide_settings_fit(self, epsilon, total):
+        # the scalar-private benchmark sweep: delta 1e-5 over T = 346 picks
+        advanced_composition(PrivacyBudget(epsilon, 1e-5), 346)
+        assert self.composed(epsilon, 1e-5, 346) == pytest.approx(total, abs=0.005)
 
 
 class TestChiSquare:

@@ -619,3 +619,12 @@ class TestConfigValidation:
             SolverConfig(0.1, 1.0, budget)
         with pytest.raises(ValueError):
             SolverConfig(0.1, 0.5, budget, density=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                SolverConfig(bad, 0.5, budget)
+
+    def test_huge_alpha_is_a_value_error(self):
+        # alpha**2 overflows past about 1.3e154
+        with pytest.raises(ValueError, match=r"alpha = 1e\+300 is too large"):
+            _planned_iterations(16.0, 1e300)
+        assert _planned_iterations(16.0, 1e150) == 1
