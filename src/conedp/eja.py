@@ -413,6 +413,20 @@ def _pair_plan(n: int) -> _PairPlan:
     return plan
 
 
+_COORD_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _coord_pairs(r: int) -> tuple[tuple[int, int], ...]:
+    """The entry (p, q) behind each orthonormal coordinate of an r x r
+    symmetric block: the diagonal, then the strict upper triangle row-major."""
+    pairs = _COORD_PAIRS.get(r)
+    if pairs is None:
+        pairs = _COORD_PAIRS[r] = tuple((p, p) for p in range(r)) + tuple(
+            (p, q) for p, q, _ in _pair_plan(r)
+        )
+    return pairs
+
+
 def _offdiag_norm(rows: list[list[float]], plan: _PairPlan) -> float:
     # plain loop, not sum(): sum() compensates its rounding from Python 3.12 on.
     # The lower triangle's sum is the same sequence of squares as the upper's.
@@ -745,49 +759,47 @@ def _spectral_sums(
     factors: Sequence[Factor],
     blocks: Sequence[np.ndarray],
     weights_of: Callable[[np.ndarray], np.ndarray],
-) -> list[list]:
+) -> list[list[float]]:
     """sum w_i q_i with w = weights_of(descending spectrum), as float lists.
 
-    Per factor, a symmetric block is its r rows with only the upper
-    triangle summed (row p from column p on), any other block a flat list.
-    Each w_i q_i is added into its own factor only, as sequential rank-one
-    updates in descending eigenvalue order: entry (p, q) of a symmetric
-    block takes acc + w * (u_p * u_q), the arithmetic of
-    ``acc += w * np.outer(u, u)`` (u_q * u_p == u_p * u_q exactly), and
-    entry q of another block acc + w * q_q, that of ``acc += w * q``.  For
-    finite weights the sums match a recombination over the full frame bit
-    for bit: the skipped terms are the frame's zero blocks, and adding
-    w * 0.0 changes nothing.
+    Per factor, one flat list: a symmetric block's diagonal, then its
+    strict upper triangle row-major (the order of :func:`to_coords`,
+    unscaled); any other block as it is.  Each w_i q_i is added into its own
+    factor only, as sequential rank-one updates in descending eigenvalue
+    order: entry (p, q) of a symmetric block takes acc + w * (u_p * u_q),
+    the arithmetic of ``acc += w * np.outer(u, u)``, and entry q of another
+    block acc + w * q_q, that of ``acc += w * q``.  For finite weights the
+    sums match a recombination over the full frame bit for bit: the
+    skipped terms are the frame's zero blocks, and adding w * 0.0 changes
+    nothing.
     """
     entries = _spectral_entries(factors, blocks)
     weights = weights_of(np.array([e[0] for e in entries]))
-    sums: list[list] = [
-        [[0.0] * f.r for _ in range(f.r)] if isinstance(f, SymMatrix) else [0.0] * f.dim
-        for f in factors
-    ]
+    sums = [[0.0] * f.dim for f in factors]
     for w, (_, idx, data) in zip(weights.tolist(), entries):
-        acc = sums[idx]
-        if isinstance(factors[idx], SymMatrix):
-            for p, row in enumerate(acc):
-                up = data[p]
-                for q in range(p, len(row)):
-                    row[q] = row[q] + w * (up * data[q])
+        f = factors[idx]
+        if isinstance(f, SymMatrix):
+            sums[idx] = [
+                acc + w * (data[p] * data[q])
+                for acc, (p, q) in zip(sums[idx], _coord_pairs(f.r))
+            ]
         else:
-            for q, d in enumerate(data):
-                acc[q] = acc[q] + w * d
+            sums[idx] = [acc + w * x for acc, x in zip(sums[idx], data)]
     return sums
 
 
-def _sums_element(alg: AlgebraDescriptor, sums: list[list]) -> EjaElement:
+def _sums_element(alg: AlgebraDescriptor, sums: list[list[float]]) -> EjaElement:
     """The element of :func:`_spectral_sums`' lists, symmetric blocks
     mirrored from their upper triangle."""
     blocks = []
     for f, acc in zip(alg.factors, sums):
         if isinstance(f, SymMatrix):
-            for p, row in enumerate(acc):
-                for q in range(p):
-                    row[q] = acc[q][p]
-        blocks.append(np.array(acc))
+            block = np.diag(acc[: f.r])
+            iu, ju = _triu_indices(f.r)
+            block[iu, ju] = block[ju, iu] = acc[f.r :]
+        else:
+            block = np.array(acc)
+        blocks.append(block)
     return EjaElement._derived(alg, blocks)
 
 
@@ -859,18 +871,15 @@ def to_coords(x: EjaElement) -> np.ndarray:
     )
 
 
-def _sums_coords(factors: Sequence[Factor], sums: list[list]) -> np.ndarray:
+def _sums_coords(factors: Sequence[Factor], sums: list[list[float]]) -> np.ndarray:
     """``to_coords(_sums_element(alg, sums))`` read straight from the lists
     of :func:`_spectral_sums`, with the same products by sqrt(2)."""
     out: list[float] = []
     for f, acc in zip(factors, sums):
-        if isinstance(f, RealVector):
-            out += acc
-        elif isinstance(f, SymMatrix):
-            out += [acc[p][p] for p in range(f.r)]
-            out += [_SQRT2 * acc[p][q] for p, q, _ in _pair_plan(f.r)]
-        else:
-            out += [_SQRT2 * v for v in acc]
+        # all but a real block and a symmetric block's diagonal take sqrt(2)
+        kept = f.k if isinstance(f, RealVector) else f.r if isinstance(f, SymMatrix) else 0
+        out += acc[:kept]
+        out += [_SQRT2 * v for v in acc[kept:]]
     return np.array(out)
 
 
