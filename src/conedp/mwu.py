@@ -91,7 +91,7 @@ def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
     return ConeMwuState(state.algebra, state.eta, cumulative, iterate)
 
 
-def _finite_loss(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _finite_loss(blocks: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
     """The blocks of a loss, after checking that every entry is finite."""
     for b in blocks:
         if not np.isfinite(b).all():
@@ -100,8 +100,8 @@ def _finite_loss(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _exp_sums(
-    factors: tuple[Factor, ...], eta: float, cumulative: list[np.ndarray] | tuple[np.ndarray, ...]
-) -> list[list]:
+    factors: Sequence[Factor], eta: float, cumulative: Sequence[np.ndarray]
+) -> list[list[float]]:
     """The step kernel: the normalized exp(-eta * cumulative) for the
     per-factor blocks of the cumulative loss, as the float lists of
     ``eja._spectral_sums``.  The scaled blocks are (-eta) * block, the

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -205,7 +205,7 @@ def _primal_mwu(
     iterations: int,
     eta: float,
     oracle: tuple[float, float] | None,
-    loss_of: Callable[[int, RandomSource], tuple[np.ndarray, ...]],
+    loss_of: Callable[[int, RandomSource], Sequence[np.ndarray]],
     rng: RandomSource | None,
     collect_trace: bool,
 ) -> SolveReport:
@@ -294,9 +294,9 @@ def _feasibility(
         oracle = (advanced_composition(budget, iterations), sensitivity)
     signs = instance.sense_signs
     # a picked row's loss is fixed for the solve: computed and checked once
-    losses: dict[int, tuple[np.ndarray, ...]] = {}
+    losses: dict[int, Sequence[np.ndarray]] = {}
 
-    def loss_of(idx: int, _rng: RandomSource) -> tuple[np.ndarray, ...]:
+    def loss_of(idx: int, _rng: RandomSource) -> Sequence[np.ndarray]:
         loss = losses.get(idx)
         if loss is None:
             loss = losses[idx] = _finite_loss(((signs[idx] / rho) * instance.row(idx)).blocks)
@@ -389,7 +389,7 @@ def solve_constraint_private(
     signs = instance.sense_signs
     exceeded = False
 
-    def loss_of(idx: int, rsrc: RandomSource) -> tuple[np.ndarray, ...]:
+    def loss_of(idx: int, rsrc: RandomSource) -> Sequence[np.ndarray]:
         nonlocal exceeded
         loss = 0.5 * gaussian_mechanism(signs[idx] * instance.row(idx), sigma, rsrc)
         exceeded = exceeded or norm(loss, math.inf) > 1.0 + 1e-9
