@@ -794,12 +794,11 @@ def _sums_element(alg: AlgebraDescriptor, sums: list[list[float]]) -> EjaElement
     blocks = []
     for f, acc in zip(alg.factors, sums):
         if isinstance(f, SymMatrix):
-            block = np.diag(acc[: f.r])
-            iu, ju = _triu_indices(f.r)
-            block[iu, ju] = block[ju, iu] = acc[f.r :]
-        else:
-            block = np.array(acc)
-        blocks.append(block)
+            rows = [[0.0] * f.r for _ in range(f.r)]
+            for (p, q), value in zip(_coord_pairs(f.r), acc):
+                rows[p][q] = rows[q][p] = value
+            acc = rows
+        blocks.append(np.array(acc))
     return EjaElement._derived(alg, blocks)
 
 

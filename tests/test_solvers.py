@@ -14,6 +14,7 @@ from conedp.eja import (
     identity,
     inner,
     min_eigenvalue,
+    norm,
     to_coords,
     trace,
     zero,
@@ -33,7 +34,6 @@ from conedp.mwu import (
     dense_mwu_step,
     uniform_measure,
 )
-from conedp.eja import norm
 from conedp.oracles import (
     ScpInstance,
     covering_oracle_private,
