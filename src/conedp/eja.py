@@ -468,8 +468,10 @@ def _jacobi_sweeps(
     symmetric n x n matrix, n >= 2, rotated in place until the off-diagonal
     norm is at or below ``thresh``."""
     n = len(rows)
-    # eigenvector columns, stored as rows so each rotation is two list builds
+    # eigenvector columns, stored as rows so each rotation updates two rows
+    # in place
     vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
+    span = range(n)
     plan = _pair_plan(n)
     off = _offdiag_norm(rows, plan)
     sweeps = 0
@@ -512,8 +514,11 @@ def _jacobi_sweeps(
             if vt is not None:
                 vp = vt[p]
                 vq = vt[q]
-                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+                for k in span:
+                    x = vp[k]
+                    y = vq[k]
+                    vp[k] = c * x - s * y
+                    vq[k] = s * x + c * y
         sweeps += 1
         off = _offdiag_norm(rows, plan)
     diag = [rows[i][i] for i in range(n)]
