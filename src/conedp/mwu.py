@@ -106,8 +106,7 @@ def _exp_sums(
     per-factor blocks of the cumulative loss, as the float lists of
     ``eja._spectral_sums``.  The scaled blocks are (-eta) * block, the
     arithmetic of ``-eta * element``."""
-    scale = -eta
-    return _spectral_sums(factors, [scale * b for b in cumulative], _normalized_exp)
+    return _spectral_sums(factors, [-eta * b for b in cumulative], _normalized_exp)
 
 
 def cone_mwu_regret_certificate(
