@@ -5,7 +5,8 @@ The solver cases cover the solution coordinates plus the iteration count,
 the violated rows, the maximum violation and the guarantee flags; the traced
 solver cases add the ``collect_trace`` rows and the oracle and noise
 counters; the spectral cases cover eigenvalues, Jordan frames and exponentials on a fixed
-random set of elements.  A speed-up that reorders a floating-point sum shows
+random set of elements; the file cases hash the bytes ``save_instance`` writes
+for generated instances.  A speed-up that reorders a floating-point sum shows
 up here as a changed hash.  A change that alters outputs on purpose says so
 and re-pins the values below.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from conedp.eja import (
     to_coords,
 )
 from conedp.harness.generators import generate_covering_sdp, generate_feasible_scp
+from conedp.harness.instances import save_instance
 from conedp.mechanisms import PrivacyBudget, RandomSource, Sensitivity
 from conedp.mwu import cone_mwu_init, cone_mwu_step
 from conedp.solvers import (
@@ -238,6 +242,22 @@ def _cone_iterates(spec: str) -> str:
     return d.hexdigest()
 
 
+def _file_digest(instance, metadata) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        save_instance(path, instance, metadata)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _feasible_file(spec: str, m: int, margin: float, seed: int) -> str:
+    alg = AlgebraDescriptor.from_spec(spec)
+    return _file_digest(*generate_feasible_scp(alg, m, margin, seed))
+
+
+def _covering_file(r: int, m: int, seed: int, analytic: bool = False) -> str:
+    return _file_digest(*generate_covering_sdp(r, m, seed, analytic=analytic))
+
+
 GOLDEN = {
     "cone-step-r2+s3+q4": "920e5c91a21e06228877c8d1a3b90ac86b85fb9fbb97283a6405ac193a8312c8",
     "cone-step-s3": "53aec34e47bbb083ca0156f1cf2509d56f1742c8d804a505a4ed76d6dab21213",
@@ -256,6 +276,17 @@ GOLDEN = {
     "feasibility-s2+s5-2": "23a5c214b409f84244d397939313ade5e2645e668f1bc21d0fe7ab0ae84a10ca",
     "feasibility-s3-1": "d4386e8904ce73bd62fdf55b6a2a4f9ebff670870faf4d74b258f802341d8ca5",
     "feasibility-s3-2": "0aca85162ea17211c59a6970ef79572d7e7f3c14cd3b0c5f5a3293f55c614e66",
+    "file-covering-s1-m64-101": "487c5dca187a4d95a00e1984f3030f1f944bc7f3c95a9914415ca2c0d79ca1c0",
+    "file-covering-s10-m64-101": "1572e15b26f721900aeed9c353fd93dec4c54c8391199189aef454e248c6a6f5",
+    "file-covering-s3-m64-101": "aba54020ba51f78a172a1648cf13a7d31acc4d098c64e049707d972d3298c8c9",
+    "file-covering-s3-m64-analytic": "ebd85f90b86f812cbe2515f0fe6695607bb8d4ae3509dd80f0eedaa26979c33a",
+    "file-feasible-q3-m32-7": "b9e31ee3fd654918e0ddcbbf7f3cbf1f94c70d64b36d0f17b4abcd9acfee046d",
+    "file-feasible-r2+s3+q4-m1-7": "73696c5a2c84baa0f8a95d46e0c81f44abdf9eda2f49ba073c0e1fffb6ed1422",
+    "file-feasible-r2+s3+q4-m4000-11": "378740e4b9552ee1cc11532b39aba26a53e88139aa07aa19ea500a403405c20b",
+    "file-feasible-r5-m32-7": "a85c6a6cc7ccaba5bfad13089a3bf570020506a5102a7140009901f3bc479726",
+    "file-feasible-s2+s5-m32-7": "f9dbf65220cd1d21aa8f4d046e13e2109a502032212d0de2b5af3a881cea1411",
+    "file-feasible-s3-m32-900": "ca2ff4733400d002422f3d0916a3646f804a9fbf94c1b373b0b17330c514da2f",
+    "file-feasible-s8-m32-900": "33cdc3376123e4a0eaf794f8c363770c87ecdeb3f4bfc550d259b1ea958e663c",
     "scalar-r2+s3+q4-3": "e8100d5617ffcb29f87716cfdc8d0ed1e83b5ac44935befe36f4c1809385d94a",
     "scalar-r2+s3+q4-4": "bf0f343a94697d6e9e330730d9a8e930f53d2c08f87c33109cb4eefe4c3e7151",
     "scalar-s2+s5-3": "73b547d89cc7b8a1fbacfc110efb3bf56c1b3f9a0d4543ab55d8df09cc4d3c78",
@@ -325,6 +356,19 @@ CASES = {
     **{f"spectral-s{r}": (_spectral, r) for r in range(1, 11)},
     **{f"expm-{a}": (_mixed_expm, a) for a in ("s3", "r2+s3+q4", "s2+s5", "q3+r3", "r4")},
     **{f"cone-step-{a}": (_cone_iterates, a) for a in ("s3", "r2+s3+q4", "s8")},
+    # the bytes `save_instance` writes for generated instances; the
+    # r2+s3+q4 m = 4000 file is the private-wide benchmark's at seed 0
+    "file-feasible-s3-m32-900": (_feasible_file, "s3", 32, 0.0, 900),
+    "file-feasible-r2+s3+q4-m4000-11": (_feasible_file, "r2+s3+q4", 4000, 0.05, 11),
+    "file-feasible-s8-m32-900": (_feasible_file, "s8", 32, 0.0, 900),
+    "file-feasible-s2+s5-m32-7": (_feasible_file, "s2+s5", 32, 0.05, 7),
+    "file-feasible-q3-m32-7": (_feasible_file, "q3", 32, 0.05, 7),
+    "file-feasible-r5-m32-7": (_feasible_file, "r5", 32, 0.05, 7),
+    "file-feasible-r2+s3+q4-m1-7": (_feasible_file, "r2+s3+q4", 1, 0.05, 7),
+    "file-covering-s3-m64-analytic": (_covering_file, 3, 64, 0, True),
+    "file-covering-s3-m64-101": (_covering_file, 3, 64, 101),
+    "file-covering-s1-m64-101": (_covering_file, 1, 64, 101),
+    "file-covering-s10-m64-101": (_covering_file, 10, 64, 101),
 }
 
 
