@@ -6,9 +6,11 @@ repeats are reported: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
 stacked eigenvalue Jacobi on the S3 stacks of a criterion-09 instance
 (m = 32) and of a 4,000-row r2+s3+q4 instance, the spectral recombination
 and one cone MWU step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
-(planted S3, m = 32, alpha = 0.1), ``save_instance`` / ``load_instance``
-and ``ScpInstance.violations`` on the 4,000-row instance (the size of the
-private-wide benchmark file), one scalar-private solve on it (epsilon 1,
+(planted S3, m = 32, alpha = 0.1), ``generate_feasible_scp`` for the
+4,000-row r2+s3+q4 instance (the size of the private-wide benchmark file)
+and ``generate_covering_sdp`` for a random S3 one with m = 64 (the
+covering-dense size), ``save_instance`` / ``load_instance`` and
+``ScpInstance.violations`` on the 4,000-row instance, one scalar-private solve on it (epsilon 1,
 delta 1e-5, alpha 0.3, sensitivity 0.05: one solve of the private-wide
 benchmark sweep), ``bregman_project`` at m = 64 and 4,096
 (s = m - 2 and m - 96, the dense regime of the covering solver),
@@ -147,7 +149,14 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
     out["criterion09_solve"] = per_call(
         lambda: solve_feasibility(instance, 0.1, rng=RandomSource(0)), repeat, min_time
     )
-    wide, meta = generate_feasible_scp(AlgebraDescriptor.from_spec("r2+s3+q4"), IO_ROWS, 0.05, 11)
+    mixed = AlgebraDescriptor.from_spec("r2+s3+q4")
+    out[f"generate_feasible_scp/m{IO_ROWS}"] = per_call(
+        lambda: generate_feasible_scp(mixed, IO_ROWS, 0.05, 11), repeat, min_time
+    )
+    out["generate_covering_sdp/m64"] = per_call(
+        lambda: generate_covering_sdp(3, 64, 101), repeat, min_time
+    )
+    wide, meta = generate_feasible_scp(mixed, IO_ROWS, 0.05, 11)
     for stack in (instance.blocks[0], wide.blocks[1]):
         out[f"jacobi_eigvals_stacked/m{len(stack)}"] = per_call(
             lambda: _jacobi_eigvals_stacked(stack), repeat, min_time

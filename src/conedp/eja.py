@@ -887,30 +887,38 @@ def _sums_coords(factors: Sequence[Factor], sums: list[list[float]]) -> np.ndarr
     return np.array(out)
 
 
-def from_coords(alg: AlgebraDescriptor, v: Sequence[float]) -> EjaElement:
-    """Inverse of :func:`to_coords`."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (alg.dim,):
-        raise ValueError(f"expected {alg.dim} coordinates, got shape {v.shape}")
+def _coords_blocks(alg: AlgebraDescriptor, v: np.ndarray) -> list[np.ndarray]:
+    """The blocks of :func:`from_coords`; ``v`` may carry leading batch
+    axes, so m rows of coordinates map to one (m, *block shape) stack per
+    factor."""
     blocks = []
     pos = 0
     for f in alg.factors:
-        chunk = v[pos : pos + f.dim]
+        chunk = v[..., pos : pos + f.dim]
         pos += f.dim
         if isinstance(f, RealVector):
             blocks.append(chunk)
         elif isinstance(f, SymMatrix):
             r = f.r
-            m = np.zeros((r, r))
-            np.fill_diagonal(m, chunk[:r])
+            m = np.zeros(v.shape[:-1] + (r, r))
+            diag = np.arange(r)
+            m[..., diag, diag] = chunk[..., :r]
             iu, ju = _triu_indices(r)
-            off = chunk[r:] / _SQRT2
-            m[iu, ju] = off
-            m[ju, iu] = off
+            off = chunk[..., r:] / _SQRT2
+            m[..., iu, ju] = off
+            m[..., ju, iu] = off
             blocks.append(m)
         else:
             blocks.append(chunk / _SQRT2)
-    return EjaElement(alg, blocks)
+    return blocks
+
+
+def from_coords(alg: AlgebraDescriptor, v: Sequence[float]) -> EjaElement:
+    """Inverse of :func:`to_coords`."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (alg.dim,):
+        raise ValueError(f"expected {alg.dim} coordinates, got shape {v.shape}")
+    return EjaElement(alg, _coords_blocks(alg, v))
 
 
 def min_eigenvalue(x: EjaElement) -> float:

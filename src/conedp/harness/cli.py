@@ -165,13 +165,13 @@ def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, d
             f"{eps_grid!r} is not a comma-separated list of numbers", param_hint="'--eps-grid'"
         ) from exc
     configs = [_config(eps, delta, alpha, beta, density, dinf) for eps in grid]
-    any_flags = False
-    for eps, config in zip(grid, configs):
-        records = _run(instance, solver, config, range(seeds), opt)
-        write_records(csv_path, records, include_wall=True, append=True)
-        any_flags = any_flags or any(r.guarantee_flags for r in records)
+    # the whole grid runs before the one write, so an epsilon that fails in
+    # its solver (an overspending composition) leaves no row behind
+    runs = [_run(instance, solver, config, range(seeds), opt) for config in configs]
+    write_records(csv_path, [r for records in runs for r in records], include_wall=True, append=True)
+    for eps, records in zip(grid, runs):
         click.echo(f"eps={eps}: wrote {len(records)} rows")
-    if any_flags:
+    if any(r.guarantee_flags for records in runs for r in records):
         sys.exit(2)
 
 

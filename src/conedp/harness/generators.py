@@ -6,7 +6,6 @@ the returned metadata, so every published number can be regenerated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,21 +15,18 @@ from conedp.eja import (
     EjaElement,
     from_coords,
     identity,
-    inner,
     jordan_product,
-    norm,
     to_coords,
     trace,
     zero,
 )
-from conedp.eja import _jacobi_eigh
+from conedp.eja import _coords_blocks, _jacobi_eigvals_stacked, _stacked_eigenvalues
 from conedp.mechanisms import RandomSource
 from conedp.oracles import ScpInstance
 
 __all__ = [
     "random_element",
     "random_cone_distribution",
-    "random_spectrum_bounded",
     "generate_covering_sdp",
     "generate_feasible_scp",
 ]
@@ -51,15 +47,30 @@ def random_cone_distribution(alg: AlgebraDescriptor, rng: RandomSource) -> EjaEl
     return sq / t
 
 
-def random_spectrum_bounded(
-    alg: AlgebraDescriptor, rng: RandomSource, bound: float = 1.0
-) -> EjaElement:
-    """A random element rescaled so its spectrum lies within [-bound, bound]."""
-    x = random_element(alg, rng)
-    top = norm(x, math.inf)
-    if top == 0.0:
-        return x
-    return x * (bound * rng.uniform() / top)
+def _spectrum_bounded_rows(
+    alg: AlgebraDescriptor, rng: RandomSource, m: int
+) -> list[np.ndarray]:
+    """Per-factor (m, *block shape) stacks of m rows with spectra in [-1, 1]:
+    row i is the stream's next :func:`random_element` times one more uniform
+    over its spectral inf-norm, or as drawn if it is zero, which takes no
+    uniform.  All rows are drawn at once; after a zero row the stream steps
+    back to the word after its normals and the later rows are drawn again."""
+    words = 2 * ((alg.dim + 1) // 2) + 1  # one row's normals and its uniform
+    parts = []
+    while m:
+        z, u = rng.normal_rows(m, alg.dim, extra=1)
+        stacks = _coords_blocks(alg, z)
+        spectra = [_stacked_eigenvalues(f, s) for f, s in zip(alg.factors, stacks)]
+        top = np.abs(np.concatenate(spectra, axis=1)).max(axis=1)
+        zero_rows = np.flatnonzero(top == 0.0)
+        kept = int(zero_rows[0]) + 1 if len(zero_rows) else m
+        if len(zero_rows):
+            rng.rewind((m - kept) * words + 1)
+        top = top[:kept]
+        scale = np.divide(u[:kept, 0], top, out=np.ones(kept), where=top != 0.0)
+        parts.append([s[:kept] * scale.reshape((-1,) + (1,) * (s.ndim - 1)) for s in stacks])
+        m -= kept
+    return [np.concatenate(stacked) for stacked in zip(*parts)]
 
 
 def generate_covering_sdp(
@@ -90,29 +101,25 @@ def generate_covering_sdp(
         "seed_derivation": "RandomSource(seed); rows then witness from one stream",
     }
     if analytic:
-        constraints = tuple(e / r for _ in range(m))
+        rows = np.broadcast_to((e / r).blocks[0], (m, r, r))
         metadata["generator"] = "covering-sdp-analytic"
         metadata["planted_opt"] = float(r)
-        instance = ScpInstance.from_rows(alg, constraints, np.ones(m), e, ("GE",) * m)
-        return instance, metadata
+        return ScpInstance(alg, (rows,), np.ones(m), e, ("GE",) * m), metadata
     rng = RandomSource(seed)
-    constraints = []
-    for _ in range(m):
-        g = np.asarray(rng.standard_normal(r * r)).reshape(r, r)
-        gram = g.T @ g
-        vals, _ = _jacobi_eigh(gram, vectors=False)
-        constraints.append(EjaElement(alg, [gram / vals[0]]))
+    g = rng.normal_rows(m, r * r)[0].reshape(m, r, r)
+    gram = np.matmul(g.transpose(0, 2, 1), g)
+    rows = gram / _jacobi_eigvals_stacked(gram)[:, :1, None]
     v = np.asarray(rng.standard_normal(r))
     v /= np.linalg.norm(v)
     witness = EjaElement(alg, [np.outer(v, v)])
-    slack = min(inner(a, witness) for a in constraints)
+    # <a_i, witness> with inner()'s arithmetic: one sum over each row's products
+    slack = float((rows * witness.blocks[0]).reshape(m, -1).sum(axis=1).min())
     if slack <= 1e-12:
         raise RuntimeError("degenerate witness; try another seed")
     witness = witness / slack
     metadata["planted_opt"] = float(trace(witness))
     metadata["witness_coords"] = to_coords(witness).tolist()
-    instance = ScpInstance.from_rows(alg, constraints, np.ones(m), e, ("GE",) * m)
-    return instance, metadata
+    return ScpInstance(alg, (rows,), np.ones(m), e, ("GE",) * m), metadata
 
 
 def generate_feasible_scp(
@@ -133,10 +140,10 @@ def generate_feasible_scp(
         raise ValueError(f"margin must be nonnegative, got {margin}")
     rng = RandomSource(seed)
     witness = random_cone_distribution(alg, rng)
-    constraints = tuple(random_spectrum_bounded(alg, rng) for _ in range(m))
+    blocks = tuple(_spectrum_bounded_rows(alg, rng, m))
     # scalars go through the same matrix-vector path the violation check
     # uses, so a zero margin is exactly tight rather than off by rounding
-    draft = ScpInstance.from_rows(alg, constraints, np.zeros(m), zero(alg), ("LE",) * m)
+    draft = ScpInstance(alg, blocks, np.zeros(m), zero(alg), ("LE",) * m)
     values = draft.constraint_coords @ to_coords(witness)
     instance = replace(draft, scalars=values + margin)
     metadata = {

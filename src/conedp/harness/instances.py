@@ -37,16 +37,16 @@ def _describe(value) -> str:
     return type(value).__name__
 
 
-def _pack_rows(alg: AlgebraDescriptor, stacks) -> list[list[list[float]]]:
-    """Rows of per-factor block lists from (m, *block shape) stacks; each
+def _packed(alg: AlgebraDescriptor, stacks) -> list[np.ndarray]:
+    """Each factor's (m, *block shape) stack as (m, packed length): each
     symmetric stack is packed upper-triangular with one fancy index."""
-    per_factor = []
+    packed = []
     for factor, stacked in zip(alg.factors, stacks):
         if isinstance(factor, SymMatrix):
             iu, ju = np.triu_indices(factor.r)
             stacked = stacked[:, iu, ju]
-        per_factor.append(stacked.tolist())
-    return [list(row) for row in zip(*per_factor)]
+        packed.append(stacked)
+    return packed
 
 
 def _read_rows(alg: AlgebraDescriptor, rows, field: str) -> list[np.ndarray]:
@@ -92,12 +92,14 @@ def _read_rows(alg: AlgebraDescriptor, rows, field: str) -> list[np.ndarray]:
 
 def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = None) -> dict:
     alg = instance.algebra
+    packed = _packed(alg, instance.blocks)
+    objective = _packed(alg, [b[None] for b in instance.objective.blocks])
     return {
         "schema_version": SCHEMA_VERSION,
         "algebra": alg.spec,
-        "constraints": _pack_rows(alg, instance.blocks),
+        "constraints": [list(row) for row in zip(*(p.tolist() for p in packed))],
         "b": instance.scalars.tolist(),
-        "c": _pack_rows(alg, [b[None] for b in instance.objective.blocks])[0],
+        "c": [p[0].tolist() for p in objective],
         "sense": list(instance.senses),
         "metadata": dict(metadata or {}),
     }
@@ -139,11 +141,33 @@ def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
     return instance, dict(metadata)
 
 
+def _json_list(items, depth: int) -> str:
+    """``json.dumps(..., indent=1)`` of a nonempty list nested ``depth``
+    levels deep, from the text of its items."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
 def save_instance(
     path: str | Path, instance: ScpInstance, metadata: dict[str, Any] | None = None
 ) -> None:
-    payload = instance_to_dict(instance, metadata)
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    """Write ``json.dumps(instance_to_dict(instance, metadata), indent=1)``
+    and a newline.  json formats all but the constraints and ``b``.  Every
+    constraint row has the same lines, so one row's text with a ``%r`` per
+    float (the repr json writes for a finite float) is repeated and filled
+    by one %-format."""
+    packed = _packed(instance.algebra, instance.blocks)
+    row = _json_list([_json_list(["%r"] * p.shape[1], 3) for p in packed], 2)
+    floats = tuple(np.concatenate(packed, axis=1).ravel().tolist())
+    texts = {
+        "constraints": _json_list([row] * instance.num_constraints, 1) % floats,
+        "b": _json_list(map(float.__repr__, instance.scalars.tolist()), 1),
+    }
+    fields = []
+    for key, value in instance_to_dict(instance, metadata).items():
+        text = texts.get(key) or json.dumps(value, indent=1).replace("\n", "\n ")
+        fields.append(f" {json.dumps(key)}: {text}")
+    Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def load_instance(path: str | Path) -> tuple[ScpInstance, dict[str, Any]]:

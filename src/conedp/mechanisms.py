@@ -95,17 +95,24 @@ class RandomSource:
         return (self._bitgen.random_raw(int(size)) >> 11) * _UNIT
 
     def standard_normal(self, size: int | None = None):
-        """Standard normal draws via Box-Muller on the uniform stream."""
-        n = 1 if size is None else int(size)
+        """Standard normal draws: the one-row case of :meth:`normal_rows`."""
+        z = self.normal_rows(1, 1 if size is None else int(size))[0][0]
+        return z if size is not None else float(z[0])
+
+    def normal_rows(self, rows: int, n: int, extra: int = 0):
+        """(rows, n) standard normals by Box-Muller, and (rows, extra)
+        uniforms, from one draw in the stream layout of ``rows`` alternating
+        calls ``standard_normal(n)``, ``uniform(extra)``."""
         pairs = (n + 1) // 2
-        u1 = 1.0 - self.uniform(pairs)  # (0, 1], keeps the log finite
-        u2 = self.uniform(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
-        if size is None:
-            return float(z[0])
-        return z
+        u = self.uniform(rows * (2 * pairs + extra)).reshape(rows, -1)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u in (0, 1]
+        angle = 2.0 * math.pi * u[:, pairs : 2 * pairs]
+        z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
+        return z[:, :n], u[:, 2 * pairs :]
+
+    def rewind(self, words: int) -> None:
+        """Step the stream back by ``words`` raw words."""
+        self._bitgen.advance(-int(words))
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, spawn_key={self._spawn_key})"

@@ -62,7 +62,7 @@ class ScpInstance:
 
     Constraints read <a_i, x> <= b_i for sense "LE" and >= for "GE".  They
     are one read-only stack per factor, shaped (m, *block shape), whose row
-    i is a_i (see :meth:`row` and :meth:`from_rows`).  Symmetric stacks must
+    i is a_i (see :meth:`row`).  Symmetric stacks must
     be exactly symmetric, every number finite and the objective over the
     same algebra; construction raises ValueError otherwise.
     """
@@ -75,7 +75,7 @@ class ScpInstance:
 
     def __post_init__(self):
         factors = self.algebra.factors
-        blocks = tuple(np.array(s, dtype=float) for s in self.blocks)
+        blocks = tuple(np.array(s, dtype=float, order="C") for s in self.blocks)
         if len(blocks) != len(factors):
             raise ValueError(f"expected {len(factors)} constraint stacks, got {len(blocks)}")
         m = len(blocks[0]) if blocks[0].ndim else 0
@@ -118,15 +118,6 @@ class ScpInstance:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "scalars", b)
         object.__setattr__(self, "senses", senses)
-
-    @classmethod
-    def from_rows(cls, algebra: AlgebraDescriptor, rows, scalars, objective, senses):
-        """An instance from one element per constraint, each over ``algebra``."""
-        rows = tuple(rows)
-        if any(a.algebra != algebra for a in rows):
-            raise ValueError(f"every constraint must live over {algebra.spec}")
-        stacks = [np.stack([a.blocks[j] for a in rows]) for j in range(len(algebra.factors))]
-        return cls(algebra, tuple(stacks), scalars, objective, senses)
 
     def row(self, i: int) -> EjaElement:
         """Constraint a_i as an element whose blocks are views of the stacks."""

@@ -52,7 +52,6 @@ from conedp.mwu import (
     dense_mwu_step,
     uniform_measure,
 )
-from conedp.oracles import ScpInstance
 from conedp.solvers import (
     SolverConfig,
     constraint_private_alpha_bound,
@@ -65,6 +64,8 @@ from conedp.solvers import (
     solve_objective_private,
     solve_scalar_private,
 )
+
+from conftest import instance_from_rows
 
 R2 = AlgebraDescriptor.real(2)
 R4 = AlgebraDescriptor.real(4)
@@ -413,7 +414,7 @@ def test_criterion_11_constraint_private_solver():
 
 def test_criterion_12_objective_private_mechanism():
     c = EjaElement(S2, [np.diag([1.0, 0.0])])
-    instance = ScpInstance.from_rows(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
+    instance = instance_from_rows(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
     opt_value = 1.0
     dinf, epsilon, delta, beta = 0.1, 1.0, 0.05, 0.05
     alpha = objective_private_alpha_bound(dinf, S2.rank, S2.dim, epsilon, delta, beta)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,17 @@ from click.testing import CliRunner
 
 from conedp.eja import (
     AlgebraDescriptor,
+    EjaElement,
     identity,
     inner,
     min_eigenvalue,
     norm,
     to_coords,
     trace,
+    zero,
 )
+from conedp.eja import _jacobi_eigh
+from conedp.harness import generators
 from conedp.harness.audit import (
     audit_exponential_mechanism,
     audit_gaussian,
@@ -27,6 +32,7 @@ from conedp.harness.generators import (
     generate_covering_sdp,
     generate_feasible_scp,
     random_cone_distribution,
+    random_element,
 )
 from conedp.harness.instances import (
     SCHEMA_VERSION,
@@ -42,7 +48,10 @@ from conedp.harness.runner import (
     write_records,
 )
 from conedp.mechanisms import PrivacyBudget, RandomSource, Sensitivity, gaussian_sigma
+from conedp.oracles import ScpInstance
 from conedp.solvers import SolverConfig
+
+from conftest import instance_from_rows
 
 MIXED = AlgebraDescriptor.from_spec("r2+s3+q4")
 
@@ -63,6 +72,20 @@ class TestInstanceIO:
         for a, b in zip(rows_of(loaded), rows_of(inst)):
             assert np.array_equal(to_coords(a), to_coords(b))
         assert loaded_meta == meta
+
+    @pytest.mark.parametrize("spec", ["r1", "s1", "q2", "s3", "r2+s3+q4"])
+    def test_save_writes_the_json_indent_one_text(self, tmp_path, spec):
+        alg = AlgebraDescriptor.from_spec(spec)
+        inst, meta = generate_feasible_scp(alg, 4, 0.05, seed=2)
+        # floats whose reprs take signed zeros, subnormals and exponents
+        scale = np.array([-0.0, 1e-310, 1e300, 1.0])
+        blocks = tuple(s * scale.reshape((-1,) + (1,) * (s.ndim - 1)) for s in inst.blocks)
+        objective = identity(alg) * -1e-7
+        inst = ScpInstance(alg, blocks, [5e-324, -0.0, 1e22, 0.1], objective, ("GE", "LE") * 2)
+        meta = dict(meta, note='a\nb "q" \u00e9', nested={"l": [1, 2.5, [True, None]], "e": [], "d": {}})
+        path = tmp_path / "inst.json"
+        save_instance(path, inst, meta)
+        assert path.read_text() == json.dumps(instance_to_dict(inst, meta), indent=1) + "\n"
 
     def test_schema_version_checked(self):
         inst, meta = generate_feasible_scp(MIXED, 2, 0.0, seed=1)
@@ -217,6 +240,123 @@ class TestGenerators:
         x = random_cone_distribution(MIXED, RandomSource(0))
         assert trace(x) == pytest.approx(1.0)
         assert min_eigenvalue(x) >= -1e-12
+
+
+def _reference_feasible_scp(alg, m, margin, rng):
+    """The per-row feasibility generator: one element per row, rescaled by
+    one uniform over its spectral inf-norm (a zero element takes none),
+    then stacked by ``from_rows``."""
+    witness = random_cone_distribution(alg, rng)
+    rows = []
+    for _ in range(m):
+        x = random_element(alg, rng)
+        top = norm(x, math.inf)
+        rows.append(x if top == 0.0 else x * (1.0 * rng.uniform() / top))
+    draft = instance_from_rows(alg, rows, np.zeros(m), zero(alg), ("LE",) * m)
+    values = draft.constraint_coords @ to_coords(witness)
+    return replace(draft, scalars=values + margin), to_coords(witness).tolist()
+
+
+def _reference_covering_sdp(r, m, rng):
+    """The per-row covering generator: one Gram square per row over its top
+    eigenvalue, and the witness slack from ``inner`` row by row."""
+    alg = AlgebraDescriptor.sym(r)
+    rows = []
+    for _ in range(m):
+        g = np.asarray(rng.standard_normal(r * r)).reshape(r, r)
+        gram = g.T @ g
+        vals, _ = _jacobi_eigh(gram, vectors=False)
+        rows.append(EjaElement(alg, [gram / vals[0]]))
+    v = np.asarray(rng.standard_normal(r))
+    v /= np.linalg.norm(v)
+    witness = EjaElement(alg, [np.outer(v, v)])
+    witness = witness / min(inner(a, witness) for a in rows)
+    instance = instance_from_rows(alg, rows, np.ones(m), identity(alg), ("GE",) * m)
+    return instance, trace(witness), to_coords(witness).tolist()
+
+
+class _ScriptedBits:
+    """A bit generator that replays a fixed list of raw words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.pos = 0
+
+    def random_raw(self, size=None):
+        n = 1 if size is None else size
+        out = self.words[self.pos : self.pos + n]
+        assert len(out) == n, "script exhausted"
+        self.pos += n
+        return int(out[0]) if size is None else out
+
+    def advance(self, delta):
+        self.pos += delta
+
+
+def _scripted_source(words) -> RandomSource:
+    rng = RandomSource(0)
+    rng._bitgen = _ScriptedBits(words)
+    return rng
+
+
+def _same_stacks(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks, strict=True))
+
+
+class TestGeneratorReference:
+    @pytest.mark.parametrize("spec", ["s1", "s3", "s8", "r5", "q3", "s2+s5", "r2+s3+q4"])
+    @pytest.mark.parametrize("m", [1, 2, 50])
+    def test_feasible_stacks_match_per_row_generator(self, spec, m):
+        alg = AlgebraDescriptor.from_spec(spec)
+        for seed in (0, 900):
+            inst, meta = generate_feasible_scp(alg, m, 0.05, seed)
+            rng = RandomSource(seed)
+            ref, witness = _reference_feasible_scp(alg, m, 0.05, rng)
+            assert _same_stacks(inst, ref)
+            assert inst.scalars.tobytes() == ref.scalars.tobytes()
+            assert meta["witness_coords"] == witness
+
+    @pytest.mark.parametrize("zero_rows", [(0,), (3, 4), (8,), (0, 2, 5, 8)])
+    def test_zero_rows_take_no_uniform(self, monkeypatch, zero_rows):
+        # a row whose radius words are all below 2**11 draws u1 = 0, so its
+        # normals are all zero: the per-row generator keeps it as drawn and
+        # takes no uniform, which shifts the stream for every later row
+        alg, m = MIXED, 9
+        pairs = (alg.dim + 1) // 2
+        fill = np.random.PCG64(5)
+        words = list(fill.random_raw(2 * pairs))  # the witness
+        for i in range(m):
+            if i in zero_rows:
+                words += [7] * pairs + list(fill.random_raw(pairs))
+            else:
+                words += list(fill.random_raw(2 * pairs + 1))
+        words += list(fill.random_raw(64))  # what the stacked draw reads ahead
+        ref_rng = _scripted_source(words)
+        ref, witness = _reference_feasible_scp(alg, m, 0.0, ref_rng)
+        rng = _scripted_source(words)
+        monkeypatch.setattr(generators, "RandomSource", lambda seed: rng)
+        inst, meta = generate_feasible_scp(alg, m, 0.0, 0)
+        assert _same_stacks(inst, ref)
+        assert inst.scalars.tobytes() == ref.scalars.tobytes()
+        assert meta["witness_coords"] == witness
+        assert rng._bitgen.pos == ref_rng._bitgen.pos
+        for i in zero_rows:
+            assert not any(np.any(b[i]) for b in inst.blocks)
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_covering_stacks_match_per_row_generator(self, r, m):
+        for seed in (0, 101):
+            inst, meta = generate_covering_sdp(r, m, seed)
+            ref, opt, witness = _reference_covering_sdp(r, m, RandomSource(seed))
+            assert _same_stacks(inst, ref)
+            assert meta["planted_opt"] == opt
+            assert meta["witness_coords"] == witness
+            analytic, _ = generate_covering_sdp(r, m, seed, analytic=True)
+            rows = [identity(AlgebraDescriptor.sym(r)) / r] * m
+            assert _same_stacks(
+                analytic, instance_from_rows(analytic.algebra, rows, np.ones(m), identity(analytic.algebra), ("GE",))
+            )
 
 
 class TestRunner:
@@ -467,6 +607,28 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)  # no traceback
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: advanced composition of")
+
+    def test_failing_epsilon_leaves_no_bench_row(self, tmp_path):
+        # eps = 1 runs, then eps = 20 overspends its composition: no row of
+        # the grid may reach the CSV
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        csv_path = tmp_path / "b.csv"
+        result = runner.invoke(
+            cli_main,
+            ["bench", "--instance", str(inst_path), "--solver", "scalar", "--delta", "0.05",
+             "--alpha", "0.3", "--dinf", "0.05", "--seeds", "1", "--eps-grid", "1,20",
+             "--csv", str(csv_path)],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: advanced composition of")
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_iteration_cap_is_exit_one(self, tmp_path, command):

@@ -75,6 +75,34 @@ class TestRandomSource:
         tail = mixed.uniform(n - 3)
         assert np.concatenate((head, tail)).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n, extra", [(1, 0), (2, 1), (9, 0), (12, 1), (25, 3)])
+    def test_normal_rows_match_one_row_at_a_time(self, n, extra):
+        # the reference is the per-call Box-Muller on 1-d arrays: one radius
+        # draw, one angle draw, then the extra uniforms, row after row
+        rows = 37
+        ref = RandomSource(11)
+        want_z, want_u = [], []
+        for _ in range(rows):
+            pairs = (n + 1) // 2
+            radius = np.sqrt(-2.0 * np.log(1.0 - ref.uniform(pairs)))
+            angle = 2.0 * math.pi * ref.uniform(pairs)
+            want_z.append(np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n])
+            want_u.append(ref.uniform(extra))
+        rng = RandomSource(11)
+        z, u = rng.normal_rows(rows, n, extra)
+        assert z.tobytes() == np.array(want_z).tobytes()
+        assert u.tobytes() == np.array(want_u).tobytes()
+        assert rng.uniform() == ref.uniform()  # the same stream position
+        assert RandomSource(11).standard_normal(n).tobytes() == want_z[0].tobytes()
+        if n == 1:
+            assert RandomSource(11).standard_normal() == want_z[0][0]
+
+    def test_rewind_draws_the_same_words_again(self):
+        rng = RandomSource(3)
+        head = rng.uniform(10)
+        rng.rewind(4)
+        assert rng.uniform(4).tobytes() == head[6:].tobytes()
+
     def test_substreams_are_independent(self):
         root = RandomSource(9)
         s0 = root.substream(0).uniform(8)

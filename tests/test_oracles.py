@@ -37,7 +37,7 @@ from conedp.oracles import (
     violation_scores,
 )
 
-from conftest import random_element
+from conftest import instance_from_rows, random_element
 
 R2 = AlgebraDescriptor.real(2)
 R3 = AlgebraDescriptor.real(3)
@@ -126,7 +126,7 @@ class TestIdempotentNet:
 
 def covering_instance(constraints, alg):
     m = len(constraints)
-    return ScpInstance.from_rows(alg, tuple(constraints), np.ones(m), identity(alg), ("GE",) * m)
+    return instance_from_rows(alg, tuple(constraints), np.ones(m), identity(alg), ("GE",) * m)
 
 
 class TestCoveringOracle:
@@ -280,10 +280,10 @@ class TestDualOracle:
     def lp_instance(self):
         a1 = EjaElement(R2, [np.array([1.0, 0.0])])
         a2 = EjaElement(R2, [np.array([0.0, 1.0])])
-        return ScpInstance.from_rows(R2, (a1, a2), np.array([0.0, 1.0]), zero(R2), ("LE", "LE"))
+        return instance_from_rows(R2, (a1, a2), np.array([0.0, 1.0]), zero(R2), ("LE", "LE"))
 
     def test_single_constraint(self):
-        inst = ScpInstance.from_rows(
+        inst = instance_from_rows(
             R2, (EjaElement(R2, [np.array([1.0, 1.0])]),), np.array([0.0]), zero(R2), ("LE",)
         )
         assert exact_pick(inst, identity(R2)) == 0
@@ -307,7 +307,7 @@ class TestDualOracle:
 
     def test_ge_sense_mirrors(self):
         a = EjaElement(R2, [np.array([1.0, 0.0])])
-        inst = ScpInstance.from_rows(R2, (a,), np.array([0.6]), zero(R2), ("GE",))
+        inst = instance_from_rows(R2, (a,), np.array([0.6]), zero(R2), ("GE",))
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         assert violation_scores(inst, x)[0] == pytest.approx(0.1)
 
@@ -332,7 +332,7 @@ class TestDualOracle:
     def test_tied_scores_split_evenly(self):
         a = EjaElement(R2, [np.array([1.0, 0.0])])
         b = EjaElement(R2, [np.array([0.0, 1.0])])
-        inst = ScpInstance.from_rows(R2, (a, b), np.array([0.0, 0.0]), zero(R2), ("LE", "LE"))
+        inst = instance_from_rows(R2, (a, b), np.array([0.0, 0.0]), zero(R2), ("LE", "LE"))
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         rng = RandomSource(10)
         trials = 20_000
@@ -347,7 +347,7 @@ class TestDualOracle:
         m, eps, dinf, gamma = 8, 2.0, 0.5, 0.05
         coords = np.asarray(rng.standard_normal(m * 2)).reshape(m, 2)
         rows = tuple(EjaElement(R2, [c]) for c in coords)
-        inst = ScpInstance.from_rows(R2, rows, np.zeros(m), zero(R2), ("LE",) * m)
+        inst = instance_from_rows(R2, rows, np.zeros(m), zero(R2), ("LE",) * m)
         x = EjaElement(R2, [np.array([0.4, 0.6])])
         scores = violation_scores(inst, x)
         alpha = (2.0 * dinf / eps) * math.log(m / gamma)
@@ -366,14 +366,14 @@ def wide_instance(spec, rng, m=40):
     alg = AlgebraDescriptor.from_spec(spec)
     rows = [random_element(alg, rng, 10.0 ** (k % 5 - 2)) for k in range(m)]
     rows += [identity(alg), zero(alg), -2.5 * identity(alg)]
-    return ScpInstance.from_rows(alg, tuple(rows), np.zeros(len(rows)), zero(alg), ("LE",))
+    return instance_from_rows(alg, tuple(rows), np.zeros(len(rows)), zero(alg), ("LE",))
 
 
 class TestWidth:
     def test_examples(self):
         inst = covering_instance([identity(S2), identity(S2)], S2)
         assert inst.width == pytest.approx(1.0)
-        inst2 = ScpInstance.from_rows(
+        inst2 = instance_from_rows(
             S2, (sym2([[2, 0], [0, -3]]),), np.array([0.0]), zero(S2), ("LE",)
         )
         assert inst2.width == pytest.approx(3.0)
@@ -382,7 +382,7 @@ class TestWidth:
         mixed = AlgebraDescriptor.from_spec("r2+q3")
         blocks = [np.array([0.5, -1.5]), np.array([0.25, 0.25, 0.0])]
         x = EjaElement(mixed, blocks)
-        inst = ScpInstance.from_rows(mixed, (x,), np.array([0.0]), zero(mixed), ("LE",))
+        inst = instance_from_rows(mixed, (x,), np.array([0.0]), zero(mixed), ("LE",))
         # per-factor maxima: 1.5 on the vector part, 0.5 on the spin part
         assert inst.width == pytest.approx(1.5)
 
@@ -395,7 +395,7 @@ class TestWidth:
     def test_zero_radius_spin_rows(self):
         q4 = AlgebraDescriptor.spin(4)
         rows = tuple(c * identity(q4) for c in (0.5, -3.0, 2.0))
-        inst = ScpInstance.from_rows(q4, rows, np.zeros(3), zero(q4), ("LE",))
+        inst = instance_from_rows(q4, rows, np.zeros(3), zero(q4), ("LE",))
         assert inst.width == 3.0 == max(norm(a, math.inf) for a in rows)
 
     @pytest.mark.parametrize("spec", ["r4", "s1", "s3", "q4", "r2+s3+q4", "s2+s5"])
@@ -408,22 +408,20 @@ class TestWidth:
 
 class TestInstanceValidation:
     def test_constraint_algebra_mismatch(self):
-        with pytest.raises(ValueError):
-            ScpInstance.from_rows(
-                S2, (identity(R2),), np.array([1.0]), zero(S2), ("LE",)
-            )
+        with pytest.raises(ValueError, match="stack has shape"):
+            ScpInstance(S2, (identity(R2).blocks[0][None],), np.array([1.0]), zero(S2), ("LE",))
 
     def test_sense_broadcast(self):
         inst = covering_instance([identity(S2), identity(S2)], S2)
         assert inst.senses == ("GE", "GE")
-        single = ScpInstance.from_rows(
+        single = instance_from_rows(
             S2, (identity(S2), identity(S2)), np.ones(2), zero(S2), ("LE",)
         )
         assert single.senses == ("LE", "LE")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ScpInstance.from_rows(S2, (), np.array([]), zero(S2), ())
+            instance_from_rows(S2, (), np.array([]), zero(S2), ())
 
     def test_empty_stacks_rejected(self):
         with pytest.raises(ValueError, match="at least one constraint"):
@@ -460,7 +458,7 @@ class TestInstanceValidation:
     def test_row_is_a_read_only_view_of_the_given_rows(self, spec, rng):
         alg = AlgebraDescriptor.from_spec(spec)
         rows = [random_element(alg, rng) for _ in range(5)]
-        inst = ScpInstance.from_rows(alg, rows, np.zeros(5), zero(alg), ("LE",))
+        inst = instance_from_rows(alg, rows, np.zeros(5), zero(alg), ("LE",))
         for i, want in enumerate(rows):
             got = inst.row(i)
             assert got.algebra == alg

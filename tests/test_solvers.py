@@ -35,7 +35,6 @@ from conedp.mwu import (
     uniform_measure,
 )
 from conedp.oracles import (
-    ScpInstance,
     covering_oracle_private,
     dual_oracle_private,
     idempotent_ray_net,
@@ -61,6 +60,8 @@ from conedp.solvers import (
     _planned_iterations,
 )
 
+from conftest import instance_from_rows
+
 R2 = AlgebraDescriptor.real(2)
 S2 = AlgebraDescriptor.sym(2)
 S3 = AlgebraDescriptor.sym(3)
@@ -69,7 +70,7 @@ S3 = AlgebraDescriptor.sym(3)
 def lp(rows, b, senses="LE"):
     elems = tuple(EjaElement(R2, [np.array(r, dtype=float)]) for r in rows)
     senses = (senses,) * len(rows) if isinstance(senses, str) else tuple(senses)
-    return ScpInstance.from_rows(R2, elems, np.array(b, dtype=float), zero(R2), senses)
+    return instance_from_rows(R2, elems, np.array(b, dtype=float), zero(R2), senses)
 
 
 class TestViolationsAndScaling:
@@ -154,7 +155,7 @@ class TestScalarPrivate:
             assert report.max_violation <= alpha
 
     def test_zero_width_honours_collect_trace(self):
-        blank = ScpInstance.from_rows(
+        blank = instance_from_rows(
             R2, (zero(R2), zero(R2)), np.array([0.5, 0.5]), zero(R2), ("LE",)
         )
         cfg = SolverConfig(
@@ -198,7 +199,7 @@ class TestConstraintPrivate:
         assert a.violated == b.violated
 
     def test_spectrum_precondition(self):
-        big = ScpInstance.from_rows(
+        big = instance_from_rows(
             R2,
             (EjaElement(R2, [np.array([3.0, 0.0])]),),
             np.array([1.0]),
@@ -326,7 +327,7 @@ def _unit_rows(alg, m, seed):
     # GE rows of unit inf-norm or less: entries in [0, 1] over a real factor
     gen = np.random.default_rng(seed)
     rows = [EjaElement(alg, [gen.uniform(0.0, 1.0, alg.dim)]) for _ in range(m)]
-    return ScpInstance.from_rows(alg, rows, gen.uniform(0.2, 0.6, m), zero(alg), ("GE",))
+    return instance_from_rows(alg, rows, gen.uniform(0.2, 0.6, m), zero(alg), ("GE",))
 
 
 class TestCoveringLoopReference:
@@ -569,7 +570,7 @@ class TestBinarySearch:
 class TestObjectivePrivate:
     def analytic_instance(self):
         c = EjaElement(S2, [np.diag([1.0, 0.0])])
-        return ScpInstance.from_rows(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
+        return instance_from_rows(S2, (zero(S2),), np.array([1.0]), c, ("LE",))
 
     def test_zero_sensitivity_recovers_exact_optimum(self):
         inst = self.analytic_instance()
