@@ -168,10 +168,11 @@ def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, d
     # the whole grid runs before the one write, so an epsilon that fails in
     # its solver (an overspending composition) leaves no row behind
     runs = [_run(instance, solver, config, range(seeds), opt) for config in configs]
-    write_records(csv_path, [r for records in runs for r in records], include_wall=True, append=True)
+    rows = [r for records in runs for r in records]
+    write_records(csv_path, rows, include_wall=True, append=True)
     for eps, records in zip(grid, runs):
         click.echo(f"eps={eps}: wrote {len(records)} rows")
-    if any(r.guarantee_flags for records in runs for r in records):
+    if any(r.guarantee_flags for r in rows):
         sys.exit(2)
 
 

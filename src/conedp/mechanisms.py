@@ -105,7 +105,7 @@ class RandomSource:
         calls ``standard_normal(n)``, ``uniform(extra)``."""
         pairs = (n + 1) // 2
         u = self.uniform(rows * (2 * pairs + extra)).reshape(rows, -1)
-        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u in (0, 1]
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, :pairs]))  # 1 - u in (0, 1]: a finite log
         angle = 2.0 * math.pi * u[:, pairs : 2 * pairs]
         z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
         return z[:, :n], u[:, 2 * pairs :]

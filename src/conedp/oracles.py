@@ -61,10 +61,11 @@ class ScpInstance:
     """A symmetric cone program: constraints, scalars, objective, senses.
 
     Constraints read <a_i, x> <= b_i for sense "LE" and >= for "GE".  They
-    are one read-only stack per factor, shaped (m, *block shape), whose row
-    i is a_i (see :meth:`row`).  Symmetric stacks must
-    be exactly symmetric, every number finite and the objective over the
-    same algebra; construction raises ValueError otherwise.
+    are one read-only C-ordered stack per factor, shaped (m, *block shape),
+    whose row i is a_i (see :meth:`row`); the BLAS products over them round
+    by memory layout.  Symmetric stacks must be exactly symmetric, every
+    number finite and the objective over the same algebra; construction
+    raises ValueError otherwise.
     """
 
     algebra: AlgebraDescriptor

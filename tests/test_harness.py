@@ -81,8 +81,10 @@ class TestInstanceIO:
         scale = np.array([-0.0, 1e-310, 1e300, 1.0])
         blocks = tuple(s * scale.reshape((-1,) + (1,) * (s.ndim - 1)) for s in inst.blocks)
         objective = identity(alg) * -1e-7
-        inst = ScpInstance(alg, blocks, [5e-324, -0.0, 1e22, 0.1], objective, ("GE", "LE") * 2)
-        meta = dict(meta, note='a\nb "q" \u00e9', nested={"l": [1, 2.5, [True, None]], "e": [], "d": {}})
+        scalars = [5e-324, -0.0, 1e22, 0.1]
+        inst = ScpInstance(alg, blocks, scalars, objective, ("GE", "LE") * 2)
+        nested = {"l": [1, 2.5, [True, None]], "e": [], "d": {}}
+        meta = dict(meta, note='a\nb "q" \u00e9', nested=nested)
         path = tmp_path / "inst.json"
         save_instance(path, inst, meta)
         assert path.read_text() == json.dumps(instance_to_dict(inst, meta), indent=1) + "\n"
@@ -245,7 +247,7 @@ class TestGenerators:
 def _reference_feasible_scp(alg, m, margin, rng):
     """The per-row feasibility generator: one element per row, rescaled by
     one uniform over its spectral inf-norm (a zero element takes none),
-    then stacked by ``from_rows``."""
+    then stacked."""
     witness = random_cone_distribution(alg, rng)
     rows = []
     for _ in range(m):
@@ -353,10 +355,9 @@ class TestGeneratorReference:
             assert meta["planted_opt"] == opt
             assert meta["witness_coords"] == witness
             analytic, _ = generate_covering_sdp(r, m, seed, analytic=True)
-            rows = [identity(AlgebraDescriptor.sym(r)) / r] * m
-            assert _same_stacks(
-                analytic, instance_from_rows(analytic.algebra, rows, np.ones(m), identity(analytic.algebra), ("GE",))
-            )
+            e = identity(analytic.algebra)
+            ref = instance_from_rows(analytic.algebra, [e / r] * m, np.ones(m), e, ("GE",))
+            assert _same_stacks(analytic, ref)
 
 
 class TestRunner:
