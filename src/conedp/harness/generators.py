@@ -47,9 +47,7 @@ def random_cone_distribution(alg: AlgebraDescriptor, rng: RandomSource) -> EjaEl
     return sq / t
 
 
-def _spectrum_bounded_rows(
-    alg: AlgebraDescriptor, rng: RandomSource, m: int
-) -> list[np.ndarray]:
+def _spectrum_bounded_rows(alg: AlgebraDescriptor, rng: RandomSource, m: int) -> list[np.ndarray]:
     """Per-factor (m, *block shape) stacks of m rows with spectra in [-1, 1]:
     row i is the stream's next :func:`random_element` times one more uniform
     over its spectral inf-norm, or as drawn if it is zero, which takes no
@@ -66,8 +64,7 @@ def _spectrum_bounded_rows(
         kept = int(zero_rows[0]) + 1 if len(zero_rows) else m
         if len(zero_rows):
             rng.rewind((m - kept) * words + 1)
-        top = top[:kept]
-        scale = np.divide(u[:kept, 0], top, out=np.ones(kept), where=top != 0.0)
+        scale = np.divide(u[:kept, 0], top[:kept], out=np.ones(kept), where=top[:kept] != 0.0)
         parts.append([s[:kept] * scale.reshape((-1,) + (1,) * (s.ndim - 1)) for s in stacks])
         m -= kept
     return [np.concatenate(stacked) for stacked in zip(*parts)]

@@ -90,19 +90,24 @@ def _read_rows(alg: AlgebraDescriptor, rows, field: str) -> list[np.ndarray]:
     return stacks
 
 
-def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = None) -> dict:
+def _fields(instance: ScpInstance, metadata, constraints, b) -> dict:
+    """An instance file's fields in file order, around these constraints and b."""
     alg = instance.algebra
-    packed = _packed(alg, instance.blocks)
-    objective = _packed(alg, [b[None] for b in instance.objective.blocks])
+    objective = _packed(alg, [blk[None] for blk in instance.objective.blocks])
     return {
         "schema_version": SCHEMA_VERSION,
         "algebra": alg.spec,
-        "constraints": [list(row) for row in zip(*(p.tolist() for p in packed))],
-        "b": instance.scalars.tolist(),
+        "constraints": constraints,
+        "b": b,
         "c": [p[0].tolist() for p in objective],
         "sense": list(instance.senses),
         "metadata": dict(metadata or {}),
     }
+
+
+def instance_to_dict(instance: ScpInstance, metadata: dict[str, Any] | None = None) -> dict:
+    rows = zip(*(p.tolist() for p in _packed(instance.algebra, instance.blocks)))
+    return _fields(instance, metadata, [list(row) for row in rows], instance.scalars.tolist())
 
 
 def instance_from_dict(data: dict) -> tuple[ScpInstance, dict[str, Any]]:
@@ -152,21 +157,19 @@ def save_instance(
     path: str | Path, instance: ScpInstance, metadata: dict[str, Any] | None = None
 ) -> None:
     """Write ``json.dumps(instance_to_dict(instance, metadata), indent=1)``
-    and a newline.  json formats all but the constraints and ``b``.  Every
-    constraint row has the same lines, so one row's text with a ``%r`` per
-    float (the repr json writes for a finite float) is repeated and filled
-    by one %-format."""
+    and a newline.  json formats all but the constraints and ``b``: every
+    row has the same lines, so one row's text with a ``%r`` per float (the
+    repr json writes for a finite float) is repeated and filled at once."""
     packed = _packed(instance.algebra, instance.blocks)
     row = _json_list([_json_list(["%r"] * p.shape[1], 3) for p in packed], 2)
     floats = tuple(np.concatenate(packed, axis=1).ravel().tolist())
-    texts = {
-        "constraints": _json_list([row] * instance.num_constraints, 1) % floats,
-        "b": _json_list(map(float.__repr__, instance.scalars.tolist()), 1),
-    }
+    constraints = _json_list([row] * instance.num_constraints, 1) % floats
+    b = _json_list(map(float.__repr__, instance.scalars.tolist()), 1)
     fields = []
-    for key, value in instance_to_dict(instance, metadata).items():
-        text = texts.get(key) or json.dumps(value, indent=1).replace("\n", "\n ")
-        fields.append(f" {json.dumps(key)}: {text}")
+    for key, value in _fields(instance, metadata, constraints, b).items():
+        if key not in ("constraints", "b"):
+            value = json.dumps(value, indent=1).replace("\n", "\n ")
+        fields.append(f" {json.dumps(key)}: {value}")
     Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n")
 
 
