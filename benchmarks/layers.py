@@ -4,8 +4,9 @@ Each case is timed in CPU seconds per call (``time.process_time``) over
 ``--repeat`` timeit repeats, and both the median and the minimum over the
 repeats are reported: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
 stacked eigenvalue Jacobi on the S3 stacks of a criterion-09 instance
-(m = 32) and of a 4,000-row r2+s3+q4 instance, the spectral recombination
-and one cone MWU step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
+(m = 32) and of a 4,000-row r2+s3+q4 instance, the cone step kernel
+``mwu._exp_sums`` (the one the primal solver loop runs) and one cone MWU
+step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
 (planted S3, m = 32, alpha = 0.1), ``generate_feasible_scp`` for the
 4,000-row r2+s3+q4 instance (the size of the private-wide benchmark file)
 and ``generate_covering_sdp`` for a random S3 one with m = 64 (the
@@ -57,7 +58,6 @@ from conedp.eja import (  # noqa: E402
     AlgebraDescriptor,
     _jacobi_eigh,
     _jacobi_eigvals_stacked,
-    _spectral_apply,
     identity,
     to_coords,
 )
@@ -75,7 +75,7 @@ from conedp.mechanisms import (  # noqa: E402
 )
 from conedp.mwu import (  # noqa: E402
     DenseMeasure,
-    _normalized_exp,
+    _exp_sums,
     bregman_project,
     cone_mwu_init,
     cone_mwu_step,
@@ -138,9 +138,9 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         for _ in range(WARM_STEPS):
             state = cone_mwu_step(state, random_element(alg, rng, 0.3))
         loss = random_element(alg, rng, 0.3)
-        x = -state.eta * state.cumulative_loss
-        out[f"spectral_apply/{spec}"] = per_call(
-            lambda: _spectral_apply(x, _normalized_exp), repeat, min_time
+        cumulative = state.cumulative_loss.blocks
+        out[f"exp_sums/{spec}"] = per_call(
+            lambda: _exp_sums(alg.factors, state.eta, cumulative), repeat, min_time
         )
         out[f"cone_mwu_step/{spec}"] = per_call(
             lambda: cone_mwu_step(state, loss), repeat, min_time

@@ -807,17 +807,10 @@ def _sums_element(alg: AlgebraDescriptor, sums: list[list[float]]) -> EjaElement
     return EjaElement._derived(alg, blocks)
 
 
-def _spectral_apply(
-    x: EjaElement, weights_of: Callable[[np.ndarray], np.ndarray]
-) -> EjaElement:
-    """sum w_i q_i with w = weights_of(descending spectrum), no frame built
-    (see :func:`_spectral_sums`)."""
-    return _sums_element(x.algebra, _spectral_sums(x.algebra.factors, x.blocks, weights_of))
-
-
 def expm(x: EjaElement) -> EjaElement:
-    """Spectral exponential, sum exp(lambda_i) q_i."""
-    return _spectral_apply(x, np.exp)
+    """Spectral exponential, sum exp(lambda_i) q_i, with no frame built (see
+    :func:`_spectral_sums`)."""
+    return _sums_element(x.algebra, _spectral_sums(x.algebra.factors, x.blocks, np.exp))
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def _canonical_neighbor(scores: np.ndarray, gap: float) -> np.ndarray:
     return scores + gap * signs
 
 
-def _canonical_dual_pair(sensitivity: float, gap: float):
+def _canonical_dual_pair(gap: float):
     from conedp.harness.generators import generate_feasible_scp
 
     alg = AlgebraDescriptor.sym(2)
@@ -214,7 +214,7 @@ def privacy_audit(
             _CANONICAL_SCORES, neighbor, sensitivity, epsilon, trials, seed
         )
     if mechanism == "dual-oracle":
-        instance, neighbor, x = _canonical_dual_pair(sensitivity, gap)
+        instance, neighbor, x = _canonical_dual_pair(gap)
         return audit_dual_oracle(
             instance, neighbor, x, epsilon, sensitivity, trials, seed
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -30,36 +31,35 @@ from conedp.solvers import SolverConfig
 click.UsageError.exit_code = 1
 
 
-def _load(path):
-    """Read an instance file; a malformed file is a clean exit-1 error."""
+@contextmanager
+def _clean_errors(prefix=""):
+    """A ValueError inside (a malformed instance file, an out-of-range
+    setting, a solver that refuses its instance or schedule, a CSV with
+    another header) is a clean exit-1 error: one Error: line."""
     try:
-        return load_instance(path)
+        yield
     except ValueError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
+        raise click.ClickException(f"{prefix}{exc}") from exc
 
 
 def _config(eps, delta, alpha, beta, density, dinf) -> SolverConfig:
-    """The solver settings; an out-of-range value is a clean exit-1 error."""
-    try:
-        return SolverConfig(
-            alpha=alpha,
-            beta=beta,
-            budget=PrivacyBudget(eps, delta),
-            density=density,
-            sensitivity=Sensitivity(dinf, "linf"),
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    return SolverConfig(
+        alpha=alpha,
+        beta=beta,
+        budget=PrivacyBudget(eps, delta),
+        density=density,
+        sensitivity=Sensitivity(dinf, "linf"),
+    )
 
 
-def _run(instance, solver, config, seeds, opt):
-    """Run a solver over seeds; a solver's ValueError (a schedule over the
-    iteration cap, an instance the solver does not accept) is a clean
-    exit-1 error."""
-    try:
-        return run_experiment(instance, solver, config, seeds, opt=opt)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+def _opt(solver, opt, metadata):
+    """The trace budget: --opt, else the instance's planted_opt, which
+    covering-hs cannot run without."""
+    if solver == "covering-hs" and opt is None:
+        opt = metadata.get("planted_opt")
+        if opt is None:
+            raise click.ClickException("covering-hs needs --opt or planted_opt metadata")
+    return opt
 
 
 @click.group()
@@ -105,16 +105,15 @@ def gen(kind, alg, rank, m, seed, margin, analytic, out):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 def solve(instance_path, solver, eps, delta, alpha, beta, density, dinf, seed, opt, csv_path):
     """Run one solver on one instance with one seed."""
-    instance, metadata = _load(instance_path)
-    if solver == "covering-hs" and opt is None:
-        opt = metadata.get("planted_opt")
-        if opt is None:
-            raise click.UsageError("covering-hs needs --opt or planted_opt metadata")
-    config = _config(eps, delta, alpha, beta, density, dinf)
-    records = _run(instance, solver, config, [seed], opt)
+    with _clean_errors(f"{instance_path}: "):
+        instance, metadata = load_instance(instance_path)
+    opt = _opt(solver, opt, metadata)
+    with _clean_errors():
+        config = _config(eps, delta, alpha, beta, density, dinf)
+        records = run_experiment(instance, solver, config, [seed], opt=opt)
+        if csv_path:
+            write_records(csv_path, records, include_wall=False)
     record = records[0]
-    if csv_path:
-        write_records(csv_path, records, include_wall=False, append=True)
     click.echo(
         f"{solver}: T={record.iterations} max_violation={record.max_violation:.6g} "
         f"violated={record.num_violated} flags={list(record.guarantee_flags)}"
@@ -154,9 +153,9 @@ def audit(mech, eps, delta, trials, seed, negative_control):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), required=True)
 def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, dinf, opt, csv_path):
     """Sweep epsilon values and seeds, appending timed rows to a CSV."""
-    instance, metadata = _load(instance_path)
-    if solver == "covering-hs" and opt is None:
-        opt = metadata.get("planted_opt")
+    with _clean_errors(f"{instance_path}: "):
+        instance, metadata = load_instance(instance_path)
+    opt = _opt(solver, opt, metadata)
     # every setting is checked before the first solve writes a row
     try:
         grid = [float(tok) for tok in eps_grid.split(",")]
@@ -164,12 +163,13 @@ def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, d
         raise click.BadParameter(
             f"{eps_grid!r} is not a comma-separated list of numbers", param_hint="'--eps-grid'"
         ) from exc
-    configs = [_config(eps, delta, alpha, beta, density, dinf) for eps in grid]
-    # the whole grid runs before the one write, so an epsilon that fails in
-    # its solver (an overspending composition) leaves no row behind
-    runs = [_run(instance, solver, config, range(seeds), opt) for config in configs]
-    rows = [r for records in runs for r in records]
-    write_records(csv_path, rows, include_wall=True, append=True)
+    with _clean_errors():
+        configs = [_config(eps, delta, alpha, beta, density, dinf) for eps in grid]
+        # the whole grid runs before the one write, so an epsilon that fails
+        # in its solver (an overspending composition) leaves no row behind
+        runs = [run_experiment(instance, solver, c, range(seeds), opt=opt) for c in configs]
+        rows = [r for records in runs for r in records]
+        write_records(csv_path, rows, include_wall=True)
     for eps, records in zip(grid, runs):
         click.echo(f"eps={eps}: wrote {len(records)} rows")
     if any(r.guarantee_flags for r in rows):

@@ -86,6 +86,9 @@ def _alpha_bound(solver: str, instance: ScpInstance, config: SolverConfig) -> fl
     alg = instance.algebra
     eps = config.budget.epsilon
     delta = config.budget.delta
+    if solver != "nonprivate" and delta <= 0.0:
+        # every private solver's schedule or bound takes log(1/delta)
+        raise ValueError(f"the {solver} solver requires delta > 0")
     dinf = config.sensitivity.value
     if solver == "scalar":
         return scalar_private_alpha_bound(
@@ -168,16 +171,26 @@ def run_experiment(
     return records
 
 
-def write_records(
-    path: str | Path, records, include_wall: bool = True, append: bool = False
-) -> None:
-    """Append records as CSV, writing the header only for a fresh file."""
+def write_records(path: str | Path, records, include_wall: bool = True) -> None:
+    """Append records as CSV, writing the header only for a fresh file.
+
+    A non-empty file whose header differs from this one raises ValueError
+    and is left unchanged, so solve rows and bench rows never share a file.
+    """
     path = Path(path)
-    fresh = not (append and path.exists() and path.stat().st_size > 0)
-    mode = "a" if append else "w"
-    with path.open(mode, newline="") as fh:
+    header = CSV_COLUMNS if include_wall else SOLVE_CSV_COLUMNS
+    fresh = not (path.exists() and path.stat().st_size > 0)
+    if not fresh:
+        with path.open(newline="") as fh:
+            found = next(csv.reader(fh), [])
+        if tuple(found) != header:
+            raise ValueError(
+                f"{path} has the header {','.join(found)!r}, not {','.join(header)!r}; "
+                "write these rows to another file"
+            )
+    with path.open("a", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
-            writer.writerow(CSV_COLUMNS if include_wall else SOLVE_CSV_COLUMNS)
+            writer.writerow(header)
         for rec in records:
             writer.writerow(rec.row(include_wall))

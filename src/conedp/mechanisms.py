@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conedp.eja import EjaElement, from_coords, to_coords
+from conedp.eja import EjaElement, from_coords
 
 __all__ = [
     "PrivacyBudget",

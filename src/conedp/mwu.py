@@ -169,23 +169,6 @@ class DenseMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def _wrap(cls, w: np.ndarray) -> "DenseMeasure":
-        """A measure over weights this module just built and checked, with
-        no copy or second check."""
-        w.setflags(write=False)
-        measure = object.__new__(cls)
-        object.__setattr__(measure, "weights", w)
-        return measure
-
-    @property
-    def size(self) -> int:
-        return int(self.weights.size)
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass(frozen=True)
 class DenseDistribution:
@@ -202,16 +185,6 @@ class DenseDistribution:
         _check_probabilities(p, self.density)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
-
-    @classmethod
-    def _wrap(cls, p: np.ndarray, density: int) -> "DenseDistribution":
-        """A distribution over probabilities this module just built and
-        checked, with no copy or second check."""
-        p.setflags(write=False)
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "probabilities", p)
-        object.__setattr__(dist, "density", density)
-        return dist
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -261,7 +234,7 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
     """
     if s < 1:
         raise ValueError(f"density parameter must be >= 1, got {s}")
-    return DenseDistribution._wrap(_projected(measure.weights, s), s)
+    return DenseDistribution(_projected(measure.weights, s), s)
 
 
 def _projected(w: np.ndarray, s: int) -> np.ndarray:
@@ -367,7 +340,7 @@ def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:
     l = np.asarray(losses, dtype=float)
     if l.shape != measure.weights.shape:
         raise ValueError(f"loss shape {l.shape} does not match measure {measure.weights.shape}")
-    return DenseMeasure._wrap(_reweighted(measure.weights, _update_factors(l, eta)))
+    return DenseMeasure(_reweighted(measure.weights, _update_factors(l, eta)))
 
 
 def dense_mwu_regret_certificate(

@@ -19,7 +19,6 @@ import numpy as np
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
-    Factor,
     RealVector,
     SpinFactor,
     SymMatrix,
@@ -42,7 +41,6 @@ __all__ = [
     "NetBudgetError",
     "ball_covering_net",
     "idempotent_ray_net",
-    "idempotent_ray_dimension",
     "covering_oracle_exact",
     "covering_oracle_private",
     "covering_oracle_sensitivity",
@@ -169,11 +167,9 @@ class NetBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A finite set of cone points with a stated covering resolution."""
+    """A finite set of cone points, with their coordinates cached."""
 
     points: tuple[EjaElement, ...]
-    radius: float
-    construction: str
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -198,21 +194,12 @@ def _grid_axis(limit: float, pitch: float) -> np.ndarray:
     return pitch * np.arange(-n, n + 1)
 
 
-def ball_covering_net(
-    r: int,
-    radius: float,
-    gamma: float,
-    mode: str = "grid",
-    rng: RandomSource | None = None,
-) -> np.ndarray:
+def ball_covering_net(r: int, radius: float, gamma: float) -> np.ndarray:
     """Points covering the Euclidean ball of the given radius in R^r.
 
-    Grid mode lays an axis-aligned lattice of pitch gamma/sqrt(r), whose
-    cell diameter is gamma, so every ball point sits within gamma of a
-    kept lattice point; the cover is deterministic and provable.  The
-    random-sphere mode places shells spaced gamma/2 apart with uniformly
-    sampled directions, sized so the cover holds empirically with margin;
-    it produces smaller nets in moderate dimension.
+    An axis-aligned lattice of pitch gamma/sqrt(r), whose cell diameter is
+    gamma, so every ball point sits within gamma of a kept lattice point;
+    the cover is deterministic and provable.
     """
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -226,60 +213,21 @@ def ball_covering_net(
             f"roughly {(2.0 * radius * math.sqrt(r) / gamma) ** r:.2e} points "
             "would be required"
         )
-    if mode == "grid":
-        pitch = gamma / math.sqrt(r)
-        per_axis = _grid_axis(radius, pitch)
-        estimate = float(len(per_axis)) ** r
-        if estimate > _MAX_NET_POINTS:
-            raise NetBudgetError(
-                f"grid net would need about {estimate:.2e} points "
-                f"(budget {_MAX_NET_POINTS})"
-            )
-        grids = np.meshgrid(*([per_axis] * r), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        keep = np.einsum("ij,ij->i", pts, pts) <= radius * radius + 1e-12
-        return pts[keep]
-    if mode == "random-sphere":
-        if rng is None:
-            raise ValueError("random-sphere mode needs a RandomSource")
-        shells = [0.0]
-        rho = gamma / 2.0
-        while rho < radius - 1e-12:
-            shells.append(rho)
-            rho += gamma / 2.0
-        shells.append(radius)
-        chunks = [np.zeros((1, r))]
-        for rho in shells[1:]:
-            count = max(8, int(math.ceil(3.0 * (4.0 * rho / gamma) ** (r - 1))))
-            if count > _MAX_NET_POINTS:
-                raise NetBudgetError(
-                    f"random-sphere shell would need {count} points "
-                    f"(budget {_MAX_NET_POINTS})"
-                )
-            dirs = rng.standard_normal(count * r).reshape(count, r)
-            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            chunks.append(rho * dirs / norms)
-        return np.concatenate(chunks, axis=0)
-    raise ValueError(f"unknown net mode {mode!r}")
+    pitch = gamma / math.sqrt(r)
+    per_axis = _grid_axis(radius, pitch)
+    estimate = float(len(per_axis)) ** r
+    if estimate > _MAX_NET_POINTS:
+        raise NetBudgetError(
+            f"grid net would need about {estimate:.2e} points "
+            f"(budget {_MAX_NET_POINTS})"
+        )
+    grids = np.meshgrid(*([per_axis] * r), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    keep = np.einsum("ij,ij->i", pts, pts) <= radius * radius + 1e-12
+    return pts[keep]
 
 
-def idempotent_ray_dimension(factor: Factor) -> int:
-    """Dimension of the scaled primitive-idempotent rays of one factor."""
-    if isinstance(factor, RealVector):
-        return 1
-    if isinstance(factor, SymMatrix):
-        return factor.r  # Peirce constant 1: 1*(r-1) + 1
-    return factor.n  # Peirce constant n-1 at rank 2: (n-1)*1 + 1
-
-
-def idempotent_ray_net(
-    alg: AlgebraDescriptor,
-    opt: float,
-    gamma: float,
-    mode: str = "grid",
-    rng: RandomSource | None = None,
-) -> CoveringNet:
+def idempotent_ray_net(alg: AlgebraDescriptor, opt: float, gamma: float) -> CoveringNet:
     """Candidate minimizers for covering programs over one simple factor.
 
     Linear minimization over the trace-capped cone is attained on scaled
@@ -301,7 +249,7 @@ def idempotent_ray_net(
             b[i] = opt
             points.append(EjaElement(alg, [b]))
     elif isinstance(factor, SymMatrix):
-        us = ball_covering_net(factor.r, math.sqrt(opt), gamma, mode, rng)
+        us = ball_covering_net(factor.r, math.sqrt(opt), gamma)
         cutoff = 1e-9 * math.sqrt(opt)
         for u in us:
             if np.linalg.norm(u) <= cutoff:
@@ -318,7 +266,7 @@ def idempotent_ray_net(
         if d == 1:
             dirs = np.array([[1.0], [-1.0]])
         else:
-            raw = ball_covering_net(d, 1.0, min(theta, 1.0) / 2.0, mode, rng)
+            raw = ball_covering_net(d, 1.0, min(theta, 1.0) / 2.0)
             keep = np.linalg.norm(raw, axis=1) >= 0.5
             raw = raw[keep]
             dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -337,7 +285,7 @@ def idempotent_ray_net(
         raise NetBudgetError("net construction produced no points")
     if len(points) > _MAX_NET_POINTS:
         raise NetBudgetError(f"net has {len(points)} points (budget {_MAX_NET_POINTS})")
-    return CoveringNet(tuple(points), float(gamma), mode)
+    return CoveringNet(tuple(points))
 
 
 # ---------------------------------------------------------------------------

@@ -71,16 +71,11 @@ from conedp.oracles import (
 __all__ = [
     "SolverConfig",
     "SolveReport",
-    "BracketError",
-    "check_violations",
-    "scale_to_distribution",
-    "unscale_solution",
     "solve_feasibility",
     "solve_scalar_private",
     "solve_constraint_private",
     "solve_covering_high_sensitivity",
     "solve_objective_private",
-    "binary_search_opt",
     "scalar_private_alpha_bound",
     "constraint_private_alpha_bound",
     "constraint_private_step_epsilon",
@@ -132,42 +127,6 @@ class SolveReport:
     @property
     def num_violated(self) -> int:
         return len(self.violated)
-
-
-class BracketError(ValueError):
-    """Binary search was given an invalid bracket."""
-
-
-# ---------------------------------------------------------------------------
-# Violation bookkeeping and scaling
-# ---------------------------------------------------------------------------
-
-
-def check_violations(
-    x: EjaElement, instance: ScpInstance, alpha: float
-) -> dict[int, float]:
-    """Constraints violated by more than alpha, with their exact margins.
-
-    Margins are sense-adjusted: positive means violated regardless of
-    whether the row reads <= or >=.
-    """
-    margins = violation_scores(instance, x)
-    return {int(i): float(margins[i]) for i in np.flatnonzero(margins > alpha)}
-
-
-def scale_to_distribution(instance: ScpInstance, scale: float) -> ScpInstance:
-    """Divide the scalars by ``scale`` so a trace-one solution can exist.
-
-    A solution x of the scaled program corresponds to scale*x for the
-    original one; violations scale by the same factor.
-    """
-    if not (scale > 0.0):
-        raise ValueError(f"scale must be positive, got {scale}")
-    return replace(instance, scalars=instance.scalars / scale)
-
-
-def unscale_solution(x: EjaElement, scale: float) -> EjaElement:
-    return scale * x
 
 
 def _build_report(
@@ -315,7 +274,7 @@ def solve_feasibility(
 ) -> SolveReport:
     """Find a trace-one cone point satisfying every row up to alpha.
 
-    Assumes the instance (after :func:`scale_to_distribution` if needed)
+    Assumes the instance (its scalars divided by a trace budget if needed)
     admits a feasible trace-one point.  The exact oracle picks the most
     violated row, so the returned average violates no constraint by more
     than alpha; rows that are already satisfied when picked produce no
@@ -383,8 +342,6 @@ def solve_constraint_private(
     iterations = _planned_iterations(144.0 * math.log(max(r, 2)), alpha)
     step_epsilon = constraint_private_step_epsilon(config.budget, iterations)
     delta = config.budget.delta
-    if delta <= 0.0:
-        raise ValueError("constraint-private solving requires delta > 0")
     sigma = delta_inf * math.sqrt(2.0 * r * math.log(iterations / delta)) / step_epsilon
     signs = instance.sense_signs
     exceeded = False
@@ -515,54 +472,6 @@ def _covering_row(
     worst = int(np.argmax(raw))
     exceeded = bool(np.max(np.abs(raw)) > rho + 1e-9)
     return _update_factors(losses, eta), exceeded, worst, float(raw[worst])
-
-
-# ---------------------------------------------------------------------------
-# Binary search over the trace budget
-# ---------------------------------------------------------------------------
-
-
-def binary_search_opt(
-    instance: ScpInstance,
-    lo: float,
-    hi: float,
-    tol: float,
-    feasibility: Callable[[ScpInstance, float, PrivacyBudget | None, RandomSource], tuple[bool, SolveReport | None]],
-    budget: PrivacyBudget | None = None,
-    rng: RandomSource | None = None,
-) -> tuple[float, SolveReport | None]:
-    """Bisect the smallest feasible trace budget inside [lo, hi].
-
-    The caller promises lo is infeasible and hi feasible; that promise is
-    trusted (mid evaluations can never contradict it).  At most
-    ceil(log2((hi-lo)/tol)) feasibility calls are made, and when a total
-    privacy budget is supplied it is split evenly across that worst-case
-    call count, each call receiving its slice.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if lo > hi:
-        raise BracketError(f"invalid bracket: lo={lo} > hi={hi}")
-    if lo == hi:
-        return lo, None
-    if rng is None:
-        rng = RandomSource(0)
-    planned = max(1, math.ceil(math.log2((hi - lo) / tol)))
-    slice_budget = None
-    if budget is not None:
-        slice_budget = PrivacyBudget(budget.epsilon / planned, budget.delta / planned)
-    best_report: SolveReport | None = None
-    call = 0
-    while hi - lo > tol and call < planned:
-        mid = 0.5 * (lo + hi)
-        feasible, report = feasibility(instance, mid, slice_budget, rng.substream(call))
-        call += 1
-        if feasible:
-            hi = mid
-            best_report = report
-        else:
-            lo = mid
-    return hi, best_report
 
 
 # ---------------------------------------------------------------------------

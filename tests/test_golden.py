@@ -13,6 +13,7 @@ and re-pins the values below.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tempfile
@@ -36,7 +37,6 @@ from conedp.mwu import cone_mwu_init, cone_mwu_step
 from conedp.solvers import (
     SolverConfig,
     covering_density_lower_bound,
-    scale_to_distribution,
     solve_constraint_private,
     solve_covering_high_sensitivity,
     solve_feasibility,
@@ -100,7 +100,7 @@ def _traced_feasibility(
 def _traced_feasibility_ge(seed: int) -> str:
     # GE rows: the covering instance scaled so a trace-one point is feasible
     instance, meta = generate_covering_sdp(2, 8, seed)
-    instance = scale_to_distribution(instance, meta["planted_opt"])
+    instance = dataclasses.replace(instance, scalars=instance.scalars / meta["planted_opt"])
     return _traced_digest(solve_feasibility(instance, 0.2, collect_trace=True))
 
 

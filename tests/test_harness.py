@@ -224,9 +224,9 @@ class TestGenerators:
         witness = from_coords(inst.algebra, np.array(meta["witness_coords"]))
         assert trace(witness) == pytest.approx(1.0, abs=1e-10)
         assert min_eigenvalue(witness) >= -1e-9
-        from conedp.solvers import check_violations
+        from conedp.oracles import violation_scores
 
-        assert check_violations(witness, inst, 0.0) == {}
+        assert not (violation_scores(inst, witness) > 0.0).any()
         for a in rows_of(inst):
             assert norm(a, math.inf) <= 1.0 + 1e-9
 
@@ -379,9 +379,9 @@ class TestRunner:
     def test_solve_rows_deterministic(self, tmp_path):
         inst, _ = generate_feasible_scp(AlgebraDescriptor.sym(2), 6, 0.05, seed=1)
         rows = []
-        for _ in range(2):
+        for i in range(2):
             records = run_experiment(inst, "scalar", self.config(), seeds=[7])
-            path = tmp_path / "d.csv"
+            path = tmp_path / f"d{i}.csv"
             write_records(path, records, include_wall=False)
             rows.append(path.read_bytes())
         assert rows[0] == rows[1]
@@ -393,11 +393,21 @@ class TestRunner:
         inst, _ = generate_feasible_scp(AlgebraDescriptor.sym(2), 4, 0.05, seed=1)
         path = tmp_path / "a.csv"
         records = run_experiment(inst, "nonprivate", self.config(), seeds=[0])
-        write_records(path, records, include_wall=False, append=True)
-        write_records(path, records, include_wall=False, append=True)
+        write_records(path, records, include_wall=False)
+        write_records(path, records, include_wall=False)
         lines = path.read_text().splitlines()
         assert sum(1 for ln in lines if ln.startswith("seed")) == 1
         assert len(lines) == 3
+
+    def test_other_header_is_refused(self, tmp_path):
+        inst, _ = generate_feasible_scp(AlgebraDescriptor.sym(2), 4, 0.05, seed=1)
+        path = tmp_path / "a.csv"
+        records = run_experiment(inst, "nonprivate", self.config(), seeds=[0])
+        write_records(path, records, include_wall=False)
+        blob = path.read_bytes()
+        with pytest.raises(ValueError, match="has the header"):
+            write_records(path, records, include_wall=True)
+        assert path.read_bytes() == blob
 
     def test_unknown_solver(self):
         inst, _ = generate_feasible_scp(AlgebraDescriptor.sym(2), 4, 0.05, seed=1)
@@ -673,6 +683,87 @@ class TestCli:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "Error: constraint spectra must lie in [-1, 1]" in result.output
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("solver", ["scalar", "constraint", "objective"])
+    def test_zero_delta_is_exit_one(self, tmp_path, command, solver):
+        # the closed-form bounds take log(1/delta): no traceback, no row
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        csv_path = tmp_path / "rows.csv"
+        args = [command, "--instance", str(inst_path), "--solver", solver, "--delta", "0",
+                "--dinf", "0.05", "--alpha", "0.5", "--csv", str(csv_path)]
+        if command == "bench":
+            args += ["--seeds", "1", "--eps-grid", "1"]
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.strip().splitlines() == [
+            f"Error: the {solver} solver requires delta > 0"
+        ]
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("first, second", [("solve", "bench"), ("bench", "solve")])
+    def test_csv_of_other_command_is_refused(self, tmp_path, first, second):
+        # solve rows have 7 fields and bench rows 8: one file never mixes them
+        runner = CliRunner()
+        inst_path = tmp_path / "inst.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        csv_path = tmp_path / "rows.csv"
+        extra = {"solve": [], "bench": ["--seeds", "1", "--eps-grid", "1"]}
+
+        def invoke(command):
+            return runner.invoke(
+                cli_main,
+                [command, "--instance", str(inst_path), "--solver", "nonprivate",
+                 "--alpha", "0.5", "--csv", str(csv_path)] + extra[command],
+            )
+
+        assert invoke(first).exit_code == 0
+        blob = csv_path.read_bytes()
+        result = invoke(second)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {csv_path} has the header")
+        assert csv_path.read_bytes() == blob
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_missing_opt_is_one_error(self, tmp_path, command):
+        runner = CliRunner()
+        inst_path = tmp_path / "cov.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "covering-sdp", "--r", "2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        payload = json.loads(inst_path.read_text())
+        del payload["metadata"]["planted_opt"]
+        inst_path.write_text(json.dumps(payload))
+        csv_path = tmp_path / "rows.csv"
+        args = [command, "--instance", str(inst_path), "--solver", "covering-hs",
+                "--csv", str(csv_path)]
+        if command == "bench":
+            args += ["--seeds", "1", "--eps-grid", "1"]
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [
+            "Error: covering-hs needs --opt or planted_opt metadata"
+        ]
+        assert not csv_path.exists()
 
     def test_out_of_range_setting_is_exit_one(self, tmp_path):
         runner = CliRunner()

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,24 +39,20 @@ from conedp.oracles import (
     covering_oracle_private,
     dual_oracle_private,
     idempotent_ray_net,
+    violation_scores,
 )
 from conedp.solvers import (
-    BracketError,
     SolverConfig,
-    binary_search_opt,
-    check_violations,
     constraint_private_alpha_bound,
     constraint_private_step_epsilon,
     covering_density_lower_bound,
     objective_private_alpha_bound,
     scalar_private_alpha_bound,
-    scale_to_distribution,
     solve_constraint_private,
     solve_covering_high_sensitivity,
     solve_feasibility,
     solve_objective_private,
     solve_scalar_private,
-    unscale_solution,
     _MAX_ITERATIONS,
     _planned_iterations,
 )
@@ -77,30 +74,29 @@ class TestViolationsAndScaling:
     def test_check_violations_examples(self):
         inst = lp([[1, 0], [0, 1]], [0.25, 1.0])
         feasible = EjaElement(R2, [np.array([0.2, 0.8])])
-        assert check_violations(feasible, inst, 0.0) == {}
+        assert not (violation_scores(inst, feasible) > 0.0).any()
         tight = EjaElement(R2, [np.array([0.5, 0.5])])
-        out = check_violations(tight, inst, 0.0)
-        assert list(out) == [0]
-        assert out[0] == pytest.approx(0.25)
+        margins = violation_scores(inst, tight)
+        assert np.flatnonzero(margins > 0.0).tolist() == [0]
+        assert margins[0] == pytest.approx(0.25)
 
     def test_margins_invariant_under_reordering(self):
         inst = lp([[1, 0], [0, 1]], [0.25, 1.0])
         swapped = lp([[0, 1], [1, 0]], [1.0, 0.25])
         x = EjaElement(R2, [np.array([0.5, 0.5])])
-        a = check_violations(x, inst, 0.0)
-        b = check_violations(x, swapped, 0.0)
-        assert sorted(a.values()) == sorted(b.values())
+        a = violation_scores(inst, x)
+        b = violation_scores(swapped, x)
+        assert sorted(a) == sorted(b)
 
     def test_scale_roundtrip(self):
-        from conedp.oracles import violation_scores
-
+        # dividing the scalars by a trace budget scales the margins of
+        # the scaled-back point by the same factor
         inst = lp([[1, 0], [0, 1]], [2.0, 4.0])
-        scaled = scale_to_distribution(inst, 2.0)
+        scaled = replace(inst, scalars=inst.scalars / 2.0)
         assert np.allclose(scaled.scalars, [1.0, 2.0])
-        assert scale_to_distribution(inst, 1.0).scalars.tolist() == [2.0, 4.0]
         x = EjaElement(R2, [np.array([0.5, 0.5])])
         margins_scaled = violation_scores(scaled, x)
-        margins_back = violation_scores(inst, unscale_solution(x, 2.0))
+        margins_back = violation_scores(inst, 2.0 * x)
         assert np.allclose(margins_back, 2.0 * margins_scaled)
 
 
@@ -517,54 +513,6 @@ class TestScheduleCap:
         )
         with pytest.raises(ValueError, match="over the cap of 1e\\+07"):
             solve(inst, cfg)
-
-
-class TestBinarySearch:
-    @staticmethod
-    def predicate(threshold):
-        def feasibility(instance, opt, budget, rng):
-            return opt >= threshold, None
-
-        return feasibility
-
-    def instance(self):
-        inst, _ = generate_covering_sdp(3, 4, 0, analytic=True)
-        return inst
-
-    def test_converges_to_threshold(self):
-        est, _ = binary_search_opt(self.instance(), 1.0, 5.0, 1e-3, self.predicate(3.0))
-        assert abs(est - 3.0) <= 1e-3
-
-    def test_degenerate_bracket(self):
-        est, report = binary_search_opt(self.instance(), 2.0, 2.0, 0.1, self.predicate(3.0))
-        assert est == 2.0 and report is None
-
-    def test_invalid_inputs(self):
-        with pytest.raises(BracketError):
-            binary_search_opt(self.instance(), 5.0, 1.0, 0.1, self.predicate(3.0))
-        with pytest.raises(ValueError):
-            binary_search_opt(self.instance(), 1.0, 5.0, 0.0, self.predicate(3.0))
-
-    def test_call_count_and_budget_split(self):
-        calls = []
-
-        def feasibility(instance, opt, budget, rng):
-            calls.append((opt, budget))
-            return opt >= 3.0, None
-
-        lo, hi, tol = 1.0, 5.0, 0.01
-        budget = PrivacyBudget(1.0, 0.01)
-        binary_search_opt(self.instance(), lo, hi, tol, feasibility, budget=budget)
-        planned = math.ceil(math.log2((hi - lo) / tol))
-        assert len(calls) <= planned
-        for _, slice_budget in calls:
-            assert slice_budget.epsilon == pytest.approx(1.0 / planned)
-            assert slice_budget.delta == pytest.approx(0.01 / planned)
-
-    def test_monotone_bracketing(self):
-        est, _ = binary_search_opt(self.instance(), 1.0, 5.0, 1e-4, self.predicate(3.0))
-        assert not self.predicate(3.0)(None, est - 2e-4, None, None)[0]
-        assert self.predicate(3.0)(None, est + 2e-4, None, None)[0]
 
 
 class TestObjectivePrivate:
