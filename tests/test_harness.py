@@ -1,5 +1,6 @@
 """Unit tests for instance I/O, generators, runner, audits, and the CLI."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -836,3 +837,109 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 5  # header + 2 eps * 2 seeds
+
+
+# Every solver through `solve` and `bench`, on small fixed files: the
+# feasible S2 file (m = 6, seed 4) and the analytic covering S2 file for
+# covering-hs.  Each setting is (eps values, other options); `solve` runs
+# the first eps at seed 3, `bench` the whole grid over seeds 0 and 1.
+# `objective` runs at dinf 0, so its released objective carries no noise.
+CLI_RUNS = {
+    "nonprivate": ("feasible", ("1",), ["--alpha", "0.3"]),
+    "scalar": ("feasible", ("2", "4"), ["--delta", "0.01", "--alpha", "0.3", "--dinf", "0.05"]),
+    "constraint": ("feasible", ("2", "4"), ["--delta", "0.05", "--alpha", "0.3", "--dinf", "0.01"]),
+    "covering-hs": ("covering", ("1", "2"), ["--delta", "0.01", "--alpha", "1.0", "--s", "2"]),
+    "objective": ("feasible", ("1", "2"), ["--delta", "0.05", "--dinf", "0"]),
+}
+
+# (exit code, SHA-256 of the CSV text, of stdout); bench rows without wall_ms
+CLI_PINS = {
+    "bench-constraint": (
+        2,
+        "1eeeacfa6c17fcf9f61a90d044b2a63769b0f93df2296abc02e336fbc5bdb1a2",
+        "69cfec7e1dc41c075cd1a208efa6b9b64a943ab2eda66e1c4b03071dfab47c90",
+    ),
+    "bench-covering-hs": (
+        2,
+        "c497c4544d61504ba165048828c709451b7c53f1d4f53f8af27b0b3993b9fb8d",
+        "ea804dd337fc9829ff153090d612be9a1008f9db41485cf6985d698f2d55f5bf",
+    ),
+    "bench-nonprivate": (
+        0,
+        "3f171aa731c3b32ce474bd22b90faf0b9229507201eca5e77dadcd05b3462e14",
+        "aadc788ed5a4e0bc68ad3fe64e4acc6ac7a1ef81d7492913329411fc14e3c100",
+    ),
+    "bench-objective": (
+        0,
+        "39a9396b46fd6d4a18d542dc0aef8cc937d186d383b4c06ef368af22e7d191f5",
+        "ea804dd337fc9829ff153090d612be9a1008f9db41485cf6985d698f2d55f5bf",
+    ),
+    "bench-scalar": (
+        0,
+        "d7ab6f688e9508e7e28885ad0b7d91ca1bd7f0b5d4c81c11375c99ebe049ccad",
+        "69cfec7e1dc41c075cd1a208efa6b9b64a943ab2eda66e1c4b03071dfab47c90",
+    ),
+    "solve-constraint": (
+        2,
+        "44a0ef6d170e31b445435522a4c683d34fc7190310f3f693139db4d0819b63c3",
+        "f0ce70ce0e1de618c74e34a996d4b18d8051dff651ca8b24482d3988fb76586e",
+    ),
+    "solve-covering-hs": (
+        2,
+        "c680281426410dfb6b0138f3426bb03657a4ad295c04c01206ddd87426923327",
+        "39f6e1857831274d459567d7c80ad8eab674160202c156dc0335f1d5e60f3f07",
+    ),
+    "solve-nonprivate": (
+        0,
+        "ee9dde5d29d72c4363a75c88801dd4cc1fe7ff983863de4f2cc860bb1190ee3b",
+        "a2f46df27bc91f424efa8431638cbd9477edbd83b41cab1ea266dbba8d8b1f43",
+    ),
+    "solve-objective": (
+        0,
+        "dcdbac1d90cf27a90278c68797cec7f96181dfd46b21dd12f257c084fe102a52",
+        "bd9c98f600cab88ae8d61ab7a88ac9cafb11ebbac919bcf06c9b1ed6280be7fd",
+    ),
+    "solve-scalar": (
+        0,
+        "f42021d06a1ecc5a29dc4616f2f5f4efc885af56edf601d63e7d73dd0f5e7dba",
+        "baf30ca1a84f083f111339a950a4ef202f1aa4fa37b58c82d1876d5346f09c05",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    files = {"feasible": root / "s2.json", "covering": root / "cov.json"}
+    runner = CliRunner()
+    for args in (
+        ["--kind", "feasible-scp", "--alg", "s2", "--m", "6", "--seed", "4"],
+        ["--kind", "covering-sdp", "--r", "2", "--m", "8", "--seed", "1", "--analytic"],
+    ):
+        out = files["feasible" if "feasible-scp" in args else "covering"]
+        assert runner.invoke(cli_main, ["gen", *args, "--out", str(out)]).exit_code == 0
+    return files
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("solver", sorted(CLI_RUNS))
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_cli_bytes_are_pinned(pinned_files, tmp_path, command, solver):
+    kind, grid, options = CLI_RUNS[solver]
+    csv_path = tmp_path / "rows.csv"
+    args = [command, "--instance", str(pinned_files[kind]), "--solver", solver,
+            "--csv", str(csv_path), *options]
+    if command == "solve":
+        args += ["--eps", grid[0], "--seed", "3"]
+    else:
+        args += ["--eps-grid", ",".join(grid), "--seeds", "2"]
+    result = CliRunner().invoke(cli_main, args)
+    lines = csv_path.read_text().splitlines()
+    if command == "bench":
+        assert lines[0].endswith(",wall_ms")
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    got = (result.exit_code, _sha("\n".join(lines)), _sha(result.output))
+    assert got == CLI_PINS[f"{command}-{solver}"]
