@@ -15,8 +15,12 @@ covering-dense size), ``save_instance`` / ``load_instance`` and
 delta 1e-5, alpha 0.3, sensitivity 0.05: one solve of the private-wide
 benchmark sweep), ``bregman_project`` at m = 64 and 4,096
 (s = m - 2 and m - 96, the dense regime of the covering solver),
-``exponential_mechanism`` over 80 and 4,000 candidates, and one
-criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2).
+``exponential_mechanism`` over 80 and 4,000 candidates, one
+criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2),
+one criterion-11 constraint-private solve (S2, m = 8, seed 1100, epsilon 2,
+delta 0.05, sensitivity 0.01, alpha from ``constraint_private_alpha_bound``)
+and one criterion-12 objective-private solve over 256 candidates (the
+analytic S2 instance, epsilon 1, delta 0.05, sensitivity 0.1).
 Inputs come from fixed seeds.  The script imports ``conedp`` from the
 checkout it sits in, so a copy of it in another checkout times that
 checkout.
@@ -56,6 +60,7 @@ import numpy as np  # noqa: E402
 
 from conedp.eja import (  # noqa: E402
     AlgebraDescriptor,
+    EjaElement,
     _jacobi_eigh,
     _jacobi_eigvals_stacked,
     identity,
@@ -80,10 +85,15 @@ from conedp.mwu import (  # noqa: E402
     cone_mwu_init,
     cone_mwu_step,
 )
+from conedp.oracles import ScpInstance  # noqa: E402
 from conedp.solvers import (  # noqa: E402
     SolverConfig,
+    constraint_private_alpha_bound,
+    objective_private_alpha_bound,
+    solve_constraint_private,
     solve_covering_high_sensitivity,
     solve_feasibility,
+    solve_objective_private,
     solve_scalar_private,
 )
 
@@ -195,6 +205,25 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
     config = SolverConfig(0.5 * opt, 0.1, PrivacyBudget(1.0, 0.01), density=62)
     out["criterion10_solve"] = per_call(
         lambda: solve_covering_high_sensitivity(cover, opt, config, RandomSource(0)),
+        repeat,
+        min_time,
+    )
+    s2 = AlgebraDescriptor.sym(2)
+    budget, beta = PrivacyBudget(2.0, 0.05), 0.05
+    private, _ = generate_feasible_scp(s2, 8, 0.05, seed=1100)
+    alpha = constraint_private_alpha_bound(0.01, s2.rank, s2.dim, 2.0, 0.05, beta)
+    config = SolverConfig(alpha, beta, budget, sensitivity=Sensitivity(0.01, "linf"))
+    out["criterion11_solve"] = per_call(
+        lambda: solve_constraint_private(private, config, RandomSource(0)), repeat, min_time
+    )
+    # criterion 12's instance: maximize <diag(1, 0), x> under the row <0, x> <= 1
+    objective = EjaElement(s2, [np.diag([1.0, 0.0])])
+    analytic = ScpInstance(s2, (np.zeros((1, 2, 2)),), np.array([1.0]), objective, ("LE",))
+    budget = PrivacyBudget(1.0, 0.05)
+    alpha = objective_private_alpha_bound(0.1, s2.rank, s2.dim, 1.0, 0.05, beta)
+    config = SolverConfig(alpha, beta, budget, sensitivity=Sensitivity(0.1, "linf"))
+    out["criterion12_solve"] = per_call(
+        lambda: solve_objective_private(analytic, config, RandomSource(0), 256),
         repeat,
         min_time,
     )

@@ -442,8 +442,8 @@ def _jacobi_lists(
 ) -> tuple[list[float], list[list[float]] | None]:
     """:func:`_jacobi_eigh` as float lists: the eigenvalues in descending
     order and, when ``vectors``, the matching unit eigenvectors, one list
-    each.  This is the checked prelude (finiteness, exact symmetry, the
-    threshold and the overflow rescale) of :func:`_jacobi_sweeps`."""
+    each.  This is the prelude (finiteness, the threshold and the overflow
+    rescale) of :func:`_jacobi_sweeps` for an exactly symmetric ``mat``."""
     a = np.array(mat, dtype=float)
     n = a.shape[0]
     if n == 1:
@@ -452,8 +452,6 @@ def _jacobi_lists(
         scale = float(np.linalg.norm(a))
     if not math.isfinite(scale) and not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite values (NaN or inf)")
-    if not _is_symmetric(a):
-        raise ValueError("matrix is not exactly symmetric")
     if not math.isfinite(scale):
         exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
         vals, vecs = _jacobi_lists(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
@@ -564,7 +562,10 @@ def _jacobi_eigh(
     are scaled back.  A matrix holding NaN or inf, or one that is not
     exactly symmetric (bit for bit), raises ValueError.
     """
-    vals, vecs = _jacobi_lists(mat, tol, max_sweeps, vectors)
+    a = np.asarray(mat, dtype=float)
+    if not _is_symmetric(a) and np.isfinite(a).all():  # non-finite: _jacobi_lists raises
+        raise ValueError("matrix is not exactly symmetric")
+    vals, vecs = _jacobi_lists(a, tol, max_sweeps, vectors)
     return np.array(vals), np.array(vecs).T if vecs is not None else None
 
 
@@ -680,8 +681,7 @@ def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
     if isinstance(factor, RealVector):
         return block.copy()
     if isinstance(factor, SymMatrix):
-        vals, _ = _jacobi_eigh(block, vectors=False)
-        return vals
+        return np.array(_jacobi_lists(block, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, False)[0])
     radius = float(np.linalg.norm(block[1:]))
     return np.array([block[0] + radius, block[0] - radius])
 

@@ -113,12 +113,12 @@ def solve(instance_path, solver, eps, delta, alpha, beta, density, dinf, seed, o
         records = run_experiment(instance, solver, config, [seed], opt=opt)
         if csv_path:
             write_records(csv_path, records, include_wall=False)
-    record = records[0]
+    report = records[0].report
     click.echo(
-        f"{solver}: T={record.iterations} max_violation={record.max_violation:.6g} "
-        f"violated={record.num_violated} flags={list(record.guarantee_flags)}"
+        f"{solver}: T={report.iterations} max_violation={report.max_violation:.6g} "
+        f"violated={report.num_violated} flags={list(report.guarantee_flags)}"
     )
-    if record.guarantee_flags:
+    if report.guarantee_flags:
         sys.exit(2)
 
 
@@ -172,7 +172,7 @@ def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, d
         write_records(csv_path, rows, include_wall=True)
     for eps, records in zip(grid, runs):
         click.echo(f"eps={eps}: wrote {len(records)} rows")
-    if any(r.guarantee_flags for r in rows):
+    if any(r.report.guarantee_flags for r in rows):
         sys.exit(2)
 
 

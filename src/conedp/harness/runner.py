@@ -34,12 +34,49 @@ __all__ = [
     "CSV_COLUMNS",
     "SOLVE_CSV_COLUMNS",
     "RunRecord",
-    "dispatch_solver",
     "run_experiment",
     "write_records",
 ]
 
-SOLVER_NAMES = ("nonprivate", "covering-hs", "scalar", "constraint", "objective")
+
+def _closed_form(bound):
+    """The alpha bound of a closed form taking (dinf, rank, dim, eps, delta, beta)."""
+    return lambda inst, c: bound(
+        c.sensitivity.value, inst.algebra.rank, inst.algebra.dim,
+        c.budget.epsilon, c.budget.delta, c.beta,
+    )
+
+
+# solver name -> (run(instance, config, rng, opt) -> SolveReport,
+#                 alpha bound(instance, config))
+_SOLVERS = {
+    "nonprivate": (
+        lambda inst, c, rng, opt: solve_feasibility(
+            inst, c.alpha, rng=rng, collect_trace=c.collect_trace
+        ),
+        lambda inst, c: c.alpha,
+    ),
+    "covering-hs": (
+        lambda inst, c, rng, opt: solve_covering_high_sensitivity(inst, opt, c, rng),
+        lambda inst, c: c.alpha,
+    ),
+    "scalar": (
+        lambda inst, c, rng, opt: solve_scalar_private(inst, c, rng),
+        lambda inst, c: scalar_private_alpha_bound(
+            c.sensitivity.value, inst.width, inst.algebra.rank, inst.num_constraints,
+            c.budget.epsilon, c.budget.delta, c.beta,
+        ),
+    ),
+    "constraint": (
+        lambda inst, c, rng, opt: solve_constraint_private(inst, c, rng),
+        _closed_form(constraint_private_alpha_bound),
+    ),
+    "objective": (
+        lambda inst, c, rng, opt: solve_objective_private(inst, c, rng)[1],
+        _closed_form(objective_private_alpha_bound),
+    ),
+}
+SOLVER_NAMES = tuple(_SOLVERS)
 
 SOLVE_CSV_COLUMNS = (
     "seed",
@@ -55,60 +92,21 @@ CSV_COLUMNS = SOLVE_CSV_COLUMNS + ("wall_ms",)
 
 @dataclass(frozen=True)
 class RunRecord:
-    solver: str
     seed: int
-    iterations: int
-    max_violation: float
-    num_violated: int
     alpha_bound: float
     eps: float
     delta: float
     wall_ms: float
-    guarantee_flags: tuple[str, ...]
     report: SolveReport
 
     def row(self, include_wall: bool) -> list[str]:
-        cells = [
-            repr(self.seed),
-            repr(self.iterations),
-            repr(self.max_violation),
-            repr(self.num_violated),
-            repr(self.alpha_bound),
-            repr(self.eps),
-            repr(self.delta),
-        ]
+        r = self.report
+        violation = r.max_violation if math.isfinite(r.max_violation) else math.nan
+        cells = [self.seed, r.iterations, violation, r.num_violated]
+        cells += [self.alpha_bound, self.eps, self.delta]
         if include_wall:
-            cells.append(repr(self.wall_ms))
-        return cells
-
-
-def _alpha_bound(solver: str, instance: ScpInstance, config: SolverConfig) -> float:
-    alg = instance.algebra
-    eps = config.budget.epsilon
-    delta = config.budget.delta
-    if solver != "nonprivate" and delta <= 0.0:
-        # every private solver's schedule or bound takes log(1/delta)
-        raise ValueError(f"the {solver} solver requires delta > 0")
-    dinf = config.sensitivity.value
-    if solver == "scalar":
-        return scalar_private_alpha_bound(
-            dinf,
-            instance.width,
-            alg.rank,
-            instance.num_constraints,
-            eps,
-            delta,
-            config.beta,
-        )
-    if solver == "constraint":
-        return constraint_private_alpha_bound(
-            dinf, alg.rank, alg.dim, eps, delta, config.beta
-        )
-    if solver == "objective":
-        return objective_private_alpha_bound(
-            dinf, alg.rank, alg.dim, eps, delta, config.beta
-        )
-    return config.alpha
+            cells.append(self.wall_ms)
+        return [repr(v) for v in cells]
 
 
 def dispatch_solver(
@@ -118,22 +116,8 @@ def dispatch_solver(
     rng: RandomSource,
     opt: float | None = None,
 ) -> SolveReport:
-    if solver == "nonprivate":
-        return solve_feasibility(
-            instance, config.alpha, rng=rng, collect_trace=config.collect_trace
-        )
-    if solver == "scalar":
-        return solve_scalar_private(instance, config, rng)
-    if solver == "constraint":
-        return solve_constraint_private(instance, config, rng)
-    if solver == "covering-hs":
-        if opt is None:
-            raise ValueError("the covering solver needs a trace budget (opt)")
-        return solve_covering_high_sensitivity(instance, opt, config, rng)
-    if solver == "objective":
-        _, report = solve_objective_private(instance, config, rng)
-        return report
-    raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
+    """One solve, of a solver name, delta and opt that :func:`run_experiment` checked."""
+    return _SOLVERS[solver][0](instance, config, rng, opt)
 
 
 def run_experiment(
@@ -143,31 +127,28 @@ def run_experiment(
     seeds,
     opt: float | None = None,
 ) -> list[RunRecord]:
-    """Run one solver over several seeds and collect one record per run."""
+    """Run one solver over several seeds and collect one record per run.
+
+    The solver name, delta and opt are checked, and the alpha bound
+    computed, before the first seed runs.
+    """
+    if solver not in _SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
+    eps = config.budget.epsilon
+    delta = config.budget.delta
+    if solver != "nonprivate" and delta <= 0.0:
+        # every private solver's schedule or bound takes log(1/delta)
+        raise ValueError(f"the {solver} solver requires delta > 0")
+    if solver == "covering-hs" and opt is None:
+        raise ValueError("the covering solver needs a trace budget (opt)")
+    bound = _SOLVERS[solver][1](instance, config)
     records = []
-    bound = _alpha_bound(solver, instance, config)
     for seed in seeds:
         rng = RandomSource(int(seed))
         start = time.perf_counter()
         report = dispatch_solver(solver, instance, config, rng, opt=opt)
         wall_ms = 1000.0 * (time.perf_counter() - start)
-        records.append(
-            RunRecord(
-                solver=solver,
-                seed=int(seed),
-                iterations=report.iterations,
-                max_violation=(
-                    report.max_violation if math.isfinite(report.max_violation) else math.nan
-                ),
-                num_violated=report.num_violated,
-                alpha_bound=bound,
-                eps=config.budget.epsilon,
-                delta=config.budget.delta,
-                wall_ms=wall_ms,
-                guarantee_flags=report.guarantee_flags,
-                report=report,
-            )
-        )
+        records.append(RunRecord(int(seed), bound, eps, delta, wall_ms, report))
     return records
 
 

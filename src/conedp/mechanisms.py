@@ -65,12 +65,12 @@ class Sensitivity:
 
 
 class RandomSource:
-    """Seeded random stream with portable uniform and normal samplers.
+    """Seeded random stream with uniform and normal samplers.
 
-    Uniforms come straight from the raw PCG64 output words, and normals are
-    produced by a Box-Muller transform of that uniform stream, so the same
-    seed yields the same values on every platform regardless of library
-    sampler internals.
+    Uniforms are raw PCG64 words, shifted and scaled exactly, so they match
+    on every platform.  Normals are their Box-Muller transform through
+    numpy's SIMD ``log``, whose AVX-512 and AVX2 loops round apart on long
+    arrays, so a normal can differ by an ulp or two between hosts.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):

@@ -49,6 +49,7 @@ from conedp.mechanisms import (
     _gibbs_scale,
     advanced_composition,
     gaussian_mechanism,
+    linf_gaussian_mechanism,
 )
 from conedp.mwu import (
     _exp_sums,
@@ -80,7 +81,6 @@ __all__ = [
     "constraint_private_alpha_bound",
     "constraint_private_step_epsilon",
     "objective_private_alpha_bound",
-    "objective_private_sigma",
     "covering_density_lower_bound",
 ]
 
@@ -479,15 +479,6 @@ def _covering_row(
 # ---------------------------------------------------------------------------
 
 
-def objective_private_sigma(
-    sensitivity: float, rank: int, budget: PrivacyBudget
-) -> float:
-    """Noise scale Delta_inf * sqrt(2 r log(1/delta)) / epsilon."""
-    if budget.delta <= 0.0:
-        raise ValueError("objective perturbation requires delta > 0")
-    return sensitivity * math.sqrt(2.0 * rank * math.log(1.0 / budget.delta)) / budget.epsilon
-
-
 def objective_private_alpha_bound(
     sensitivity: float, rank: int, dim: int, epsilon: float, delta: float, beta: float
 ) -> float:
@@ -548,11 +539,10 @@ def solve_objective_private(
     the linear rows).  The quality transfer holds for the candidates
     examined.
     """
-    delta_inf = config.sensitivity.value
-    alg = instance.algebra
-    sigma = objective_private_sigma(delta_inf, alg.rank, config.budget)
-    perturbed = gaussian_mechanism(instance.objective, sigma, rng)
-    noise_calls = 0 if sigma == 0.0 else 1
+    perturbed = linf_gaussian_mechanism(
+        instance.objective, config.sensitivity, instance.algebra.rank, config.budget, rng
+    )
+    noise_calls = 1 if config.sensitivity.value > 0.0 else 0
     candidates = _unit_sphere_candidates(instance, perturbed, rng, num_candidates)
     if not candidates:
         report = SolveReport(

@@ -28,6 +28,7 @@ from conedp.harness.audit import (
     gaussian_tradeoff_delta,
     privacy_audit,
 )
+from conedp.harness import runner as runner_module
 from conedp.harness.cli import main as cli_main
 from conedp.harness.generators import (
     generate_covering_sdp,
@@ -50,7 +51,7 @@ from conedp.harness.runner import (
 )
 from conedp.mechanisms import PrivacyBudget, RandomSource, Sensitivity, gaussian_sigma
 from conedp.oracles import ScpInstance
-from conedp.solvers import SolverConfig
+from conedp.solvers import SolverConfig, scalar_private_alpha_bound
 
 from conftest import instance_from_rows
 
@@ -415,6 +416,48 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_experiment(inst, "magic", self.config(), seeds=[0])
 
+    def counted_dispatch(self, monkeypatch):
+        """Patch the module global the benchmark wraps to time each solve;
+        each call records whether the instance's width was already known,
+        then the report."""
+        calls, reports = [], []
+        solve = runner_module.dispatch_solver
+
+        def dispatch_solver(solver, instance, *args, **kwargs):
+            calls.append("width" in vars(instance))
+            reports.append(solve(solver, instance, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(runner_module, "dispatch_solver", dispatch_solver)
+        return calls, reports
+
+    def test_one_dispatch_per_seed_after_the_bound(self, monkeypatch):
+        inst, _ = generate_feasible_scp(AlgebraDescriptor.sym(2), 6, 0.05, seed=1)
+        calls, reports = self.counted_dispatch(monkeypatch)
+        records = run_experiment(inst, "scalar", self.config(), seeds=[0, 1, 2])
+        # the scalar bound reads the width, before the first solve
+        assert calls == [True, True, True]
+        assert len(records) == 3 and all(r.report is x for r, x in zip(records, reports))
+        bound = scalar_private_alpha_bound(0.05, inst.width, 2, 6, 2.0, 0.01, 0.05)
+        assert [r.alpha_bound for r in records] == [bound] * 3
+
+    @pytest.mark.parametrize(
+        "solver, delta, message",
+        [
+            ("magic", 0.01, "unknown solver 'magic'"),
+            ("covering-hs", 0.01, "the covering solver needs a trace budget"),
+            ("covering-hs", 0.0, "the covering-hs solver requires delta > 0"),
+            ("constraint", 0.0, "the constraint solver requires delta > 0"),
+        ],
+    )
+    def test_checks_come_before_the_first_solve(self, monkeypatch, solver, delta, message):
+        inst, _ = generate_covering_sdp(2, 4, 0)
+        calls, _ = self.counted_dispatch(monkeypatch)
+        config = replace(self.config(), budget=PrivacyBudget(2.0, delta))
+        with pytest.raises(ValueError, match=message):
+            run_experiment(inst, solver, config, seeds=[0, 1])
+        assert calls == []
+
 
 class TestAudit:
     def test_exponential_within_budget(self):
@@ -686,15 +729,17 @@ class TestCli:
         assert "Error: constraint spectra must lie in [-1, 1]" in result.output
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
-    @pytest.mark.parametrize("solver", ["scalar", "constraint", "objective"])
+    @pytest.mark.parametrize("solver", ["scalar", "constraint", "objective", "covering-hs"])
     def test_zero_delta_is_exit_one(self, tmp_path, command, solver):
         # the closed-form bounds take log(1/delta): no traceback, no row
         runner = CliRunner()
         inst_path = tmp_path / "inst.json"
+        if solver == "covering-hs":
+            kind = ["--kind", "covering-sdp", "--r", "2"]
+        else:
+            kind = ["--kind", "feasible-scp", "--alg", "s2"]
         gen = runner.invoke(
-            cli_main,
-            ["gen", "--kind", "feasible-scp", "--alg", "s2", "--m", "4",
-             "--seed", "0", "--out", str(inst_path)],
+            cli_main, ["gen", *kind, "--m", "4", "--seed", "0", "--out", str(inst_path)]
         )
         assert gen.exit_code == 0, gen.output
         csv_path = tmp_path / "rows.csv"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conedp import eja
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
@@ -97,6 +98,18 @@ class TestConeStep:
             a = cone_mwu_step(a, loss)
             b = cone_mwu_step(b, loss + shift * identity(S2))
             assert norm(a.iterate - b.iterate, 2) <= 1e-10
+
+    def test_step_checks_no_symmetry(self, monkeypatch, rng):
+        # a cumulative loss is a sum of exactly symmetric blocks; only raw
+        # matrices through _jacobi_eigh take the check
+        losses = [random_element_inf_bounded(S3, rng, 1.0) for _ in range(5)]
+        state = cone_mwu_init(S3, 0.2)
+        calls = []
+        check = eja._is_symmetric
+        monkeypatch.setattr(eja, "_is_symmetric", lambda b: calls.append(b) or check(b))
+        for loss in losses:
+            state = cone_mwu_step(state, loss)
+        assert calls == []
 
     def test_non_finite_rejected(self):
         state = cone_mwu_init(R2, 1.0)

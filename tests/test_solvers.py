@@ -27,6 +27,7 @@ from conedp.mechanisms import (
     Sensitivity,
     advanced_composition,
     gaussian_mechanism,
+    linf_gaussian_mechanism,
 )
 from conedp.mwu import (
     bregman_project,
@@ -528,6 +529,19 @@ class TestObjectivePrivate:
         perturbed, report = solve_objective_private(inst, cfg, RandomSource(0), 128)
         assert np.array_equal(to_coords(perturbed), to_coords(inst.objective))
         assert report.objective_value == pytest.approx(1.0, abs=1e-12)
+
+    def test_release_is_the_linf_gaussian_mechanism(self):
+        # the classical calibration, sqrt(r) * dinf * sqrt(2 log(1.25/delta)) / eps
+        inst = self.analytic_instance()
+        cfg = SolverConfig(
+            0.5, 0.05, PrivacyBudget(1.0, 0.05), sensitivity=Sensitivity(0.2, "linf")
+        )
+        perturbed, report = solve_objective_private(inst, cfg, RandomSource(5), 16)
+        want = linf_gaussian_mechanism(
+            inst.objective, cfg.sensitivity, S2.rank, cfg.budget, RandomSource(5)
+        )
+        assert [b.tobytes() for b in perturbed.blocks] == [b.tobytes() for b in want.blocks]
+        assert report.noise_invocations == 1
 
     def test_alpha_formula(self):
         val = objective_private_alpha_bound(0.1, 2, 3, 1.0, 0.05, 0.05)
