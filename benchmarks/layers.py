@@ -2,8 +2,10 @@
 
 Each case is timed in CPU seconds per call (``time.process_time``) over
 ``--repeat`` timeit repeats, and both the median and the minimum over the
-repeats are reported: the Jacobi eigensolver at r = 2, 3, 5, 8 and 10, the
-stacked eigenvalue Jacobi on the S3 stacks of a criterion-09 instance
+repeats are reported: the Jacobi eigensolver at r = 2 to 10, its first
+call at r = 3, 8 and 10 with that size's generated kernel dropped from the
+cache (compile included; left out for a checkout that has no kernel
+cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09 instance
 (m = 32) and of a 4,000-row r2+s3+q4 instance, the cone step kernel
 ``mwu._exp_sums`` (the one the primal solver loop runs) and one cone MWU
 step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
@@ -33,7 +35,7 @@ With ``--baseline``, the output holds the earlier file's runs and this
 one, so alternating runs of two checkouts in fresh interpreters chain into
 one file.  It also holds each label's per-case median of its runs'
 medians and minimum of its runs' minima and, for two labels, the ratios of
-the second label's values to the first's.
+the second label's values to the first's on the cases both labels ran.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from conedp import eja  # noqa: E402
 from conedp.eja import (  # noqa: E402
     AlgebraDescriptor,
     EjaElement,
@@ -97,7 +100,8 @@ from conedp.solvers import (  # noqa: E402
     solve_scalar_private,
 )
 
-JACOBI_RANKS = (2, 3, 5, 8, 10)
+JACOBI_RANKS = tuple(range(2, 11))
+KERNEL_RANKS = (3, 8, 10)
 STEP_SPECS = ("s3", "s8", "r2+s3+q4")
 WARM_STEPS = 50  # cone steps folded in before the timed one
 IO_ROWS = 4000
@@ -141,6 +145,11 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         g = np.random.default_rng(r).standard_normal((r, r))
         mat = g + g.T
         out[f"jacobi_eigh/r{r}"] = per_call(lambda: _jacobi_eigh(mat), repeat, min_time)
+        kernels = getattr(eja, "_KERNELS", None)
+        if kernels is not None and r in KERNEL_RANKS:
+            out[f"jacobi_first_call/r{r}"] = per_call(
+                lambda: (kernels.pop((r, True), None), _jacobi_eigh(mat)), repeat, min_time
+            )
     for spec in STEP_SPECS:
         alg = AlgebraDescriptor.from_spec(spec)
         rng = RandomSource(7)
@@ -254,27 +263,27 @@ def main(argv=None) -> int:
     runs = json.loads(args.baseline.read_text())["runs"] if args.baseline else []
     runs.append(run)
     labels = list(dict.fromkeys(r["label"] for r in runs))  # first-seen order
+    names = list(dict.fromkeys(name for r in runs for name in r["cases"]))
     summaries = {
         "medians": (statistics.median, "cases"),
         "minima": (min, "minima"),
     }
     result = {"runs": runs}
     for key, (combine, field) in summaries.items():
-        result[key] = {
-            label: {
-                name: combine(r[field][name] for r in runs if r["label"] == label)
-                for name in timings
+        result[key] = {}
+        for label in labels:
+            ran = [r[field] for r in runs if r["label"] == label]
+            result[key][label] = {
+                name: combine(f[name] for f in ran) for name in names if name in ran[0]
             }
-            for label in labels
-        }
     if len(labels) == 2:
         for key, ratio_key in (("medians", "ratio"), ("minima", "ratio_of_minima")):
             base, other = (result[key][label] for label in labels)
-            result[ratio_key] = {name: other[name] / base[name] for name in timings}
+            result[ratio_key] = {name: other[name] / base[name] for name in base if name in other}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for name, (median, minimum) in timings.items():
         line = f"{name:36s} {median * 1e6:12.1f} us  min {minimum * 1e6:12.1f} us"
-        if "ratio" in result:
+        if name in result.get("ratio", {}):
             line += f"  x{result['ratio'][name]:.3f}  min x{result['ratio_of_minima'][name]:.3f}"
         print(line)
     return 0

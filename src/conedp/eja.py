@@ -398,21 +398,7 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 
 
-_PairPlan = tuple[tuple[int, int, tuple[int, ...]], ...]
-_PAIR_PLANS: dict[int, _PairPlan] = {}
-
-
-def _pair_plan(n: int) -> _PairPlan:
-    """Row-major pairs (p, q), p < q, each with the other indices r."""
-    plan = _PAIR_PLANS.get(n)
-    if plan is None:
-        plan = _PAIR_PLANS[n] = tuple(
-            (p, q, tuple(r for r in range(n) if r != p and r != q))
-            for p, q in itertools.combinations(range(n), 2)
-        )
-    return plan
-
-
+_KERNELS: dict[tuple[int, bool], dict] = {}
 _COORD_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
@@ -421,20 +407,111 @@ def _coord_pairs(r: int) -> tuple[tuple[int, int], ...]:
     symmetric block: the diagonal, then the strict upper triangle row-major."""
     pairs = _COORD_PAIRS.get(r)
     if pairs is None:
-        pairs = _COORD_PAIRS[r] = tuple((p, p) for p in range(r)) + tuple(
-            (p, q) for p, q, _ in _pair_plan(r)
-        )
+        upper = tuple(itertools.combinations(range(r), 2))
+        pairs = _COORD_PAIRS[r] = tuple((p, p) for p in range(r)) + upper
     return pairs
 
 
-def _offdiag_norm(rows: list[list[float]], plan: _PairPlan) -> float:
-    # plain loop, not sum(): sum() compensates its rounding from Python 3.12 on.
-    # The lower triangle's sum is the same sequence of squares as the upper's.
-    upper = 0.0
-    for p, q, _ in plan:
-        x = rows[p][q]
-        upper += x * x
-    return math.sqrt(upper + upper)
+def _kernel_source(n: int, vectors: bool) -> str:
+    """Python source of the straight-line kernels for n x n blocks; only
+    integer indices enter the text.
+
+    ``diagonalize(rows, thresh, max_sweeps)`` runs :func:`_jacobi_sweeps` with
+    entry (p, q), p <= q, in the local ``a{p}_{q}`` and, when ``vectors``,
+    entry k of eigenvector i in ``v{i}_{k}``.  The off-diagonal norm adds
+    the squares of the upper triangle row-major, left to right, not with
+    sum(), which compensates its rounding from Python 3.12 on; the lower
+    triangle's sum is the same sequence.  With ``vectors``,
+    ``recombine(terms)`` adds each (w, u) of ``terms`` in order as
+    acc + w * (u_p * u_q), one local ``e{p}_{q}`` per coordinate of
+    :func:`_coord_pairs`.
+    """
+
+    def a(p: int, q: int) -> str:  # the local of entries (p, q) and (q, p)
+        return f"a{min(p, q)}_{max(p, q)}"
+
+    span = range(n)
+    pairs = list(itertools.combinations(span, 2))
+    v = [[f"v{i}_{k}" for k in span] for i in span]
+    lines = ["def diagonalize(rows, thresh, max_sweeps):"]
+    for p in span:
+        lines.append(f"    {', '.join(a(p, q) if q >= p else '_' for q in span)}, = rows[{p}]")
+    if vectors:
+        for i in span:
+            ones = ("1.0" if k == i else "0.0" for k in span)
+            lines.append(f"    {', '.join(v[i])}, = {', '.join(ones)},")
+    squares = " + ".join(f"{a(p, q)} * {a(p, q)}" for p, q in pairs) or "0.0"
+    lines += [
+        "    sweeps = 0",
+        "    while True:",
+        f"        upper = {squares}",
+        "        off = sqrt(upper + upper)",
+        "        if not off > thresh:",
+        "            break",
+        "        if sweeps >= max_sweeps:",
+        "            raise JacobiConvergenceError(off, sweeps)",
+    ]
+    for p, q in pairs:
+        app, aqq, apq = a(p, p), a(q, q), a(p, q)
+        # row r's column update c*a[r][p] - s*a[r][q] is, by symmetry, the row
+        # update of a[p][r]: one value for both places.  The diagonal takes
+        # the column update, then the row update.
+        others = [(a(r, p), a(r, q)) for r in span if r != p and r != q]
+        lines += [
+            f"        if {apq} != 0.0:",
+            f"            theta = ({aqq} - {app}) / (2.0 * {apq})",
+            "            size = abs(theta)",
+            "            if size > 1e150:",  # theta**2 would overflow; use the limit
+            "                t = 0.5 / theta",
+            "            else:",
+            "                sign = 1.0 if theta >= 0.0 else -1.0",
+            "                t = sign / (size + sqrt(theta * theta + 1.0))",
+            "            c = 1.0 / sqrt(t * t + 1.0)",
+            "            s = t * c",
+            *(f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}" for x, y in others),
+            f"            {app}, {aqq}, {apq} = (",
+            f"                c * (c * {app} - s * {apq}) - s * (c * {apq} - s * {aqq}),",
+            f"                s * (s * {app} + c * {apq}) + c * (s * {apq} + c * {aqq}),",
+            "                0.0,",
+            "            )",
+        ]
+        if vectors:
+            for x, y in zip(v[p], v[q]):
+                lines.append(f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}")
+    lines += [
+        "        sweeps += 1",
+        f"    diag = [{', '.join(a(i, i) for i in span)}]",
+        # stable, like np.argsort(-diag, kind="stable"); finite input keeps
+        # the diagonal finite, so no NaN reaches the comparison
+        f"    order = sorted(range({n}), key=diag.__getitem__, reverse=True)",
+    ]
+    if not vectors:
+        return "\n".join(lines + ["    return [diag[i] for i in order], None"])
+    entries = _coord_pairs(n)
+    coords = [f"e{p}_{q}" for p, q in entries]
+    lines += [
+        f"    vt = [{', '.join('[' + ', '.join(row) + ']' for row in v)}]",
+        "    return [diag[i] for i in order], [vt[i] for i in order]",
+        "def recombine(terms):",
+        f"    {' = '.join(coords)} = 0.0",
+        f"    for w, ({', '.join(f'u{i}' for i in span)},) in terms:",
+        *(f"        {e} += w * (u{p} * u{q})" for e, (p, q) in zip(coords, entries)),
+        f"    return [{', '.join(coords)}]",
+    ]
+    return "\n".join(lines)
+
+
+def _kernel(n: int, vectors: bool) -> dict:
+    """The namespace of :func:`_kernel_source`'s kernels for n x n blocks,
+    compiled on first use and kept for the process.  Threads that miss the
+    cache together each build the same kernel; the last one is kept."""
+    kernel = _KERNELS.get((n, vectors))
+    if kernel is None:
+        kernel = {"sqrt": math.sqrt, "JacobiConvergenceError": JacobiConvergenceError}
+        code = compile(_kernel_source(n, vectors), f"<jacobi kernel n={n}>", "exec")
+        exec(code, kernel)
+        _KERNELS[n, vectors] = kernel
+    return kernel
 
 
 def _jacobi_lists(
@@ -445,9 +522,6 @@ def _jacobi_lists(
     each.  This is the prelude (finiteness, the threshold and the overflow
     rescale) of :func:`_jacobi_sweeps` for an exactly symmetric ``mat``."""
     a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return [float(a[0, 0])], [[1.0]] if vectors else None
     with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
         scale = float(np.linalg.norm(a))
     if not math.isfinite(scale) and not np.isfinite(a).all():
@@ -463,68 +537,9 @@ def _jacobi_sweeps(
     rows: list[list[float]], thresh: float, max_sweeps: int, vectors: bool
 ) -> tuple[list[float], list[list[float]] | None]:
     """The sweeps of :func:`_jacobi_eigh` on the rows of a finite, exactly
-    symmetric n x n matrix, n >= 2, rotated in place until the off-diagonal
-    norm is at or below ``thresh``."""
-    n = len(rows)
-    # eigenvector columns, stored as rows so each rotation updates two rows
-    # in place
-    vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
-    span = range(n)
-    plan = _pair_plan(n)
-    off = _offdiag_norm(rows, plan)
-    sweeps = 0
-    while off > thresh:
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(off, sweeps)
-        for p, q, others in plan:
-            row_p = rows[p]
-            row_q = rows[q]
-            apq = row_p[q]
-            if apq == 0.0:
-                continue
-            app = row_p[p]
-            aqq = row_q[q]
-            theta = (aqq - app) / (2.0 * apq)
-            if abs(theta) > 1e150:  # theta**2 would overflow; use the limit
-                t = 0.5 / theta
-            else:
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            # row r's column update c*a[r][p] - s*a[r][q] is, by symmetry,
-            # the row update of a[p][r]: one value for both places
-            for r in others:
-                row_r = rows[r]
-                x = row_r[p]
-                y = row_r[q]
-                row_r[p] = row_p[r] = c * x - s * y
-                row_r[q] = row_q[r] = s * x + c * y
-            # the diagonal takes the column update, then the row update
-            col_pp = c * app - s * apq
-            col_pq = s * app + c * apq
-            col_qp = c * apq - s * aqq
-            col_qq = s * apq + c * aqq
-            row_p[p] = c * col_pp - s * col_qp
-            row_q[q] = s * col_pq + c * col_qq
-            row_p[q] = 0.0
-            row_q[p] = 0.0
-            if vt is not None:
-                vp = vt[p]
-                vq = vt[q]
-                for k in span:
-                    x = vp[k]
-                    y = vq[k]
-                    vp[k] = c * x - s * y
-                    vq[k] = s * x + c * y
-        sweeps += 1
-        off = _offdiag_norm(rows, plan)
-    diag = [rows[i][i] for i in range(n)]
-    # stable, like np.argsort(-diag, kind="stable"); finite input keeps the
-    # diagonal finite, so no NaN reaches the comparison
-    order = sorted(range(n), key=diag.__getitem__, reverse=True)
-    vals = [diag[i] for i in order]
-    return vals, [vt[i] for i in order] if vt is not None else None
+    symmetric n x n matrix until the off-diagonal norm is at or below
+    ``thresh``, run by the generated kernel for n (:func:`_kernel_source`)."""
+    return _kernel(len(rows), vectors)["diagonalize"](rows, thresh, max_sweeps)
 
 
 def _jacobi_eigh(
@@ -542,12 +557,15 @@ def _jacobi_eigh(
     in descending order (ties keep diagonal order) and the eigenvectors as
     columns.
 
-    The sweeps run on Python float lists.  A rotation of pair (p, q) is the
-    arithmetic of the earlier numpy slice loop, which updated columns p and
-    q, then rows p and q, then zeroed a[p][q] and a[q][p]: on an exactly
-    symmetric matrix the column update of a[r][p], r not in {p, q}, is the
-    same IEEE expression as the row update of a[p][r], so it is computed
-    once and written to both, and only a[p][p] and a[q][q] take the two
+    The sweeps run in a straight-line Python kernel generated from one
+    template for each size n and vectors flag, compiled on first use and
+    cached for the process (:func:`_kernel_source`); the upper triangle
+    and the eigenvector entries are float locals.  A rotation of pair
+    (p, q) is the arithmetic of the earlier numpy slice loop, which updated
+    columns p and q, then rows p and q, then zeroed a[p][q] and a[q][p]: on
+    an exactly symmetric matrix the column update of a[r][p], r not in
+    {p, q}, is the same IEEE expression as the row update of a[p][r], so it
+    is computed once for both, and only a[p][p] and a[q][q] take the two
     stages.  The matrix stays exactly symmetric, so eigenvalues and vectors
     are bit-identical to that loop (``tests/test_golden.py`` pins them, and
     ``tests/test_eja.py`` compares against the loop).  The one sum that
@@ -559,8 +577,8 @@ def _jacobi_eigh(
     When the Frobenius norm of a finite matrix overflows, the threshold
     would be infinite and no sweep would run.  Only then, the same sweeps
     run on the matrix scaled by an exact power of two, and the eigenvalues
-    are scaled back.  A matrix holding NaN or inf, or one that is not
-    exactly symmetric (bit for bit), raises ValueError.
+    are scaled back.  A matrix holding NaN or inf, 1 x 1 included, or one
+    that is not exactly symmetric (bit for bit), raises ValueError.
     """
     a = np.asarray(mat, dtype=float)
     if not _is_symmetric(a) and np.isfinite(a).all():  # non-finite: _jacobi_lists raises
@@ -637,8 +655,6 @@ def _jacobi_eigvals_stacked(
     """
     a = np.array(mats, dtype=float)
     m, n = a.shape[:2]
-    if n == 1:
-        return a[:, 0]
     with np.errstate(over="ignore"):  # an overflowing norm takes _jacobi_eigh
         scales = np.array([float(np.linalg.norm(mat)) for mat in a])
     finite = np.isfinite(scales)
@@ -772,24 +788,25 @@ def _spectral_sums(
     unscaled); any other block as it is.  Each w_i q_i is added into its own
     factor only, as sequential rank-one updates in descending eigenvalue
     order: entry (p, q) of a symmetric block takes acc + w * (u_p * u_q),
-    the arithmetic of ``acc += w * np.outer(u, u)``, and entry q of another
+    the arithmetic of ``acc += w * np.outer(u, u)``, in the block's
+    generated ``recombine`` (:func:`_kernel_source`), and entry q of another
     block acc + w * q_q, that of ``acc += w * q``.  For finite weights the
     sums match a recombination over the full frame bit for bit: the
     skipped terms are the frame's zero blocks, and adding w * 0.0 changes
     nothing.
     """
     entries = _spectral_entries(factors, blocks)
-    weights = weights_of(np.array([e[0] for e in entries]))
-    sums = [[0.0] * f.dim for f in factors]
-    for w, (_, idx, data) in zip(weights.tolist(), entries):
-        f = factors[idx]
+    weights = weights_of(np.array([e[0] for e in entries])).tolist()
+    sums = []
+    for idx, f in enumerate(factors):
+        terms = [(w, data) for w, (_, i, data) in zip(weights, entries) if i == idx]
         if isinstance(f, SymMatrix):
-            sums[idx] = [
-                acc + w * (data[p] * data[q])
-                for acc, (p, q) in zip(sums[idx], _coord_pairs(f.r))
-            ]
-        else:
-            sums[idx] = [acc + w * x for acc, x in zip(sums[idx], data)]
+            sums.append(_kernel(f.r, True)["recombine"](terms))
+            continue
+        acc = [0.0] * f.dim
+        for w, data in terms:
+            acc = [x + w * y for x, y in zip(acc, data)]
+        sums.append(acc)
     return sums
 
 

@@ -301,6 +301,9 @@ class TestJacobiEdgeCases:
                 _jacobi_eigh(mat, vectors=vectors)
         with pytest.raises(ValueError, match="non-finite"):
             _jacobi_eigh(np.array([[bad, 0.0], [0.0, 2.0]]))
+        for vectors in (False, True):  # a 1 x 1 matrix takes the same check
+            with pytest.raises(ValueError, match="non-finite"):
+                _jacobi_eigh(np.array([[bad]]), vectors=vectors)
 
     def test_not_exactly_symmetric_raises(self):
         near = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]])
@@ -365,6 +368,12 @@ class TestStackedJacobi:
     def test_non_finite_entries_raise(self):
         stack = _padded_edge_stack()
         stack[5, 0, 1] = stack[5, 1, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _jacobi_eigvals_stacked(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_1x1_rows_raise(self, bad):
+        stack = np.array([[[2.0]], [[bad]], [[-1.0]]])
         with pytest.raises(ValueError, match="non-finite"):
             _jacobi_eigvals_stacked(stack)
 
@@ -452,7 +461,8 @@ class TestBitIdentityReferences:
     def test_jacobi_matches_numpy_loop_bit_for_bit(self):
         rng = np.random.default_rng(11)
         mats = list(_jacobi_edge_matrices().values())
-        for r in range(2, 11):
+        # r = 11 and 12, past desk scale: the generated kernels need no size cut-off
+        for r in range(1, 13):
             for scale in (1e-3, 1.0, 1e4):
                 g = scale * rng.standard_normal((r, r))
                 mats.append(g + g.T)
@@ -461,6 +471,8 @@ class TestBitIdentityReferences:
             ref_vals, ref_vecs = _numpy_jacobi_reference(mat)
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(vecs, ref_vecs)
+            values_only, none = _jacobi_eigh(mat, vectors=False)
+            assert none is None and values_only.tobytes() == ref_vals.tobytes()
 
     @pytest.mark.parametrize("spec", ["r3", "s4", "q5", "r2+s3+q4", "s2+s5"])
     def test_expm_matches_frame_recombination_bit_for_bit(self, spec, rng):

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from conedp.eja import (
     trace,
     zero,
 )
+import conedp
 from conedp.eja import _jacobi_eigh
 from conedp.harness import generators
 from conedp.harness.audit import (
@@ -988,3 +993,47 @@ def test_cli_bytes_are_pinned(pinned_files, tmp_path, command, solver):
         lines = [line.rsplit(",", 1)[0] for line in lines]
     got = (result.exit_code, _sha("\n".join(lines)), _sha(result.output))
     assert got == CLI_PINS[f"{command}-{solver}"]
+
+
+_KERNEL_SCRIPT = """
+import json, sys
+import conedp.harness.cli
+from click.testing import CliRunner
+from conedp import eja
+
+def run(*args):
+    result = CliRunner().invoke(conedp.harness.cli.main, list(args))
+    assert result.exit_code == 0, result.output
+
+out, solves = sys.argv[1], []
+after_import = sorted(eja._KERNELS)
+run("gen", "--kind", "feasible-scp", "--alg", "r2+s3", "--m", "8", "--seed", "3",
+    "--out", out + "/f.json")
+run("gen", "--kind", "covering-sdp", "--r", "3", "--m", "8", "--seed", "1",
+    "--out", out + "/c.json")
+after_gen = sorted(eja._KERNELS)
+for seed in (0, 1):
+    run("solve", "--instance", out + "/f.json", "--solver", "nonprivate", "--seed", str(seed))
+    solves.append(dict(eja._KERNELS))
+print(json.dumps({
+    "after_import": after_import,
+    "after_gen": after_gen,
+    "after_solves": [sorted(kernels) for kernels in solves],
+    "reused": all(solves[1][key] is kernel for key, kernel in solves[0].items()),
+}))
+"""
+
+
+def test_set_up_builds_no_kernel_and_solves_reuse_them(tmp_path):
+    # a fresh interpreter, so that no other test has filled the kernel cache
+    env = dict(os.environ, PYTHONPATH=str(Path(conedp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["after_import"] == got["after_gen"] == []
+    first, second = got["after_solves"]
+    assert first == second == [[3, True]]  # the s3 factor's cone step, with vectors
+    assert got["reused"]
