@@ -5,8 +5,8 @@ Each case is timed in CPU seconds per call (``time.process_time``) over
 repeats are reported: the Jacobi eigensolver at r = 2 to 10, its first
 call at r = 3, 8 and 10 with that size's generated kernel dropped from the
 cache (compile included; left out for a checkout that has no kernel
-cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09 instance
-(m = 32) and of a 4,000-row r2+s3+q4 instance, the cone step kernel
+cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09
+instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the cone step kernel
 ``mwu._exp_sums`` (the one the primal solver loop runs) and one cone MWU
 step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
 (planted S3, m = 32, alpha = 0.1), ``generate_feasible_scp`` for the
