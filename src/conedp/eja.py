@@ -625,7 +625,7 @@ def _rotate_stacked(a: np.ndarray, p: int, q: int) -> None:
 
 
 def _offdiag_norms(a: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    # the sequential sums of _offdiag_norm, one per matrix
+    # the sequential off-diagonal sums of the generated kernels, one per matrix
     upper = np.zeros(len(a))
     for p, q in pairs:
         x = a[:, p, q]
