@@ -6,7 +6,9 @@ repeats are reported: the Jacobi eigensolver at r = 2 to 10, its first
 call at r = 3, 8 and 10 with that size's generated kernel dropped from the
 cache (compile included; left out for a checkout that has no kernel
 cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09
-instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the cone step kernel
+instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the spin-factor
+eigenvalues of that instance's Q4 stack and its whole ``ScpInstance.width``
+(the cached property's function, run afresh on each call), the cone step kernel
 ``mwu._exp_sums`` (the one the primal solver loop runs) and one cone MWU
 step on s3, s8 and r2+s3+q4, one criterion-09 exact solve
 (planted S3, m = 32, alpha = 0.1), ``generate_feasible_scp`` for the
@@ -66,6 +68,7 @@ from conedp.eja import (  # noqa: E402
     EjaElement,
     _jacobi_eigh,
     _jacobi_eigvals_stacked,
+    _stacked_eigenvalues,
     identity,
     to_coords,
 )
@@ -180,6 +183,13 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         out[f"jacobi_eigvals_stacked/m{len(stack)}"] = per_call(
             lambda: _jacobi_eigvals_stacked(stack), repeat, min_time
         )
+    spin = wide.algebra.factors[2]
+    out[f"stacked_eigenvalues/q4-m{IO_ROWS}"] = per_call(
+        lambda: _stacked_eigenvalues(spin, wide.blocks[2]), repeat, min_time
+    )
+    out[f"width/m{IO_ROWS}"] = per_call(
+        lambda: ScpInstance.width.func(wide), repeat, min_time
+    )
     alg = wide.algebra
     uniform = to_coords(identity(alg) / alg.rank)
     out[f"violations/m{IO_ROWS}"] = per_call(lambda: wide.violations(uniform), repeat, min_time)

@@ -297,6 +297,12 @@ def _is_symmetric(b: np.ndarray) -> bool:
     return bool((bits == bits.swapaxes(-1, -2)).all())
 
 
+def _norm2(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` by its own arithmetic, without its Python wrapper."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _freeze(x: EjaElement, algebra: AlgebraDescriptor, blocks: list[np.ndarray]) -> None:
     for b in blocks:
         b.setflags(write=False)
@@ -523,7 +529,7 @@ def _jacobi_lists(
     rescale) of :func:`_jacobi_sweeps` for an exactly symmetric ``mat``."""
     a = np.array(mat, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
-        scale = float(np.linalg.norm(a))
+        scale = _norm2(a)
     if not math.isfinite(scale) and not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite values (NaN or inf)")
     if not math.isfinite(scale):
@@ -644,7 +650,7 @@ def _jacobi_eigvals_stacked(
 
     Runs the cyclic Jacobi of ``_jacobi_eigh(vectors=False)`` on all
     matrices at once and returns, row for row, its values bit for bit.
-    Each matrix keeps its own threshold from the same ``np.linalg.norm``
+    Each matrix keeps its own threshold from the same ``_norm2``
     call, pairs whose a[p][q] is exactly zero are skipped per matrix, and
     a matrix freezes once its off-diagonal norm is at or below its
     threshold, so it takes no rotation the single-matrix loop would not.
@@ -656,7 +662,7 @@ def _jacobi_eigvals_stacked(
     a = np.array(mats, dtype=float)
     m, n = a.shape[:2]
     with np.errstate(over="ignore"):  # an overflowing norm takes _jacobi_eigh
-        scales = np.array([float(np.linalg.norm(mat)) for mat in a])
+        scales = np.array([_norm2(mat) for mat in a])
     finite = np.isfinite(scales)
     out = np.empty((m, n))
     for i in np.flatnonzero(~finite):
@@ -698,7 +704,7 @@ def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
         return block.copy()
     if isinstance(factor, SymMatrix):
         return np.array(_jacobi_lists(block, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, False)[0])
-    radius = float(np.linalg.norm(block[1:]))
+    radius = _norm2(block[1:])
     return np.array([block[0] + radius, block[0] - radius])
 
 
@@ -709,7 +715,7 @@ def _stacked_eigenvalues(factor: Factor, blocks: np.ndarray) -> np.ndarray:
     if isinstance(factor, SymMatrix):
         return _jacobi_eigvals_stacked(blocks)
     # per-row norms: a batched reduction sums in another order
-    radius = np.array([float(np.linalg.norm(b[1:])) for b in blocks])
+    radius = np.array([_norm2(b[1:]) for b in blocks])
     return np.stack((blocks[:, 0] + radius, blocks[:, 0] - radius), axis=1)
 
 
@@ -744,7 +750,7 @@ def _spectral_entries(
             vals, vecs = _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, True)
             entries.extend(zip(vals, itertools.repeat(idx), vecs))
         else:
-            radius = float(np.linalg.norm(b[1:]))
+            radius = _norm2(b[1:])
             if radius > 0.0:
                 direction = [x / radius for x in b[1:].tolist()]
             else:

@@ -218,9 +218,9 @@ def _gibbs(s: np.ndarray, scale: float) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
     logits = scale * s
-    logits -= logits.max()
+    logits -= np.maximum.reduce(logits)
     w = np.exp(logits, out=logits)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     return w
 
 

@@ -69,7 +69,7 @@ def cone_mwu_init(alg: AlgebraDescriptor, eta: float) -> ConeMwuState:
 def _normalized_exp(vals: np.ndarray) -> np.ndarray:
     """exp of a descending spectrum shifted by its maximum, summing to one."""
     weights = np.exp(vals - vals[0])
-    weights /= weights.sum()  # frame elements have unit trace
+    weights /= np.add.reduce(weights)  # frame elements have unit trace
     return weights
 
 

@@ -238,7 +238,9 @@ def _feasibility(
     """The exact solve (no budget) and the scalar-private solve.
 
     Runs eta = alpha/(4 rho) for 16 rho^2 log(r) / alpha^2 steps with loss
-    a_i / rho on the picked row.
+    a_i / rho on the picked row, scaled for every row once per solve with
+    the IEEE products of ``(signs[i] / rho) * row(i)``.  A non-finite row
+    (1 / rho overflows at a subnormal width) raises only when picked.
     """
     rho = instance.width
     if rho == 0.0:
@@ -251,15 +253,15 @@ def _feasibility(
     oracle = None
     if budget is not None:
         oracle = (advanced_composition(budget, iterations), sensitivity)
-    signs = instance.sense_signs
-    # a picked row's loss is fixed for the solve: computed and checked once
-    losses: dict[int, Sequence[np.ndarray]] = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise when picked
+        scale = instance.sense_signs / rho
+        scaled = [scale.reshape(-1, *[1] * (s.ndim - 1)) * s for s in instance.blocks]
+    finite = np.all([np.isfinite(s.reshape(len(s), -1)).all(axis=1) for s in scaled], axis=0)
 
     def loss_of(idx: int, _rng: RandomSource) -> Sequence[np.ndarray]:
-        loss = losses.get(idx)
-        if loss is None:
-            loss = losses[idx] = _finite_loss(((signs[idx] / rho) * instance.row(idx)).blocks)
-        return loss
+        if not finite[idx]:
+            raise ValueError("loss element contains non-finite values")
+        return [s[idx] for s in scaled]
 
     return _primal_mwu(
         instance, alpha, iterations, eta, oracle, loss_of, rng, collect_trace

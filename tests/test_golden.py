@@ -325,6 +325,7 @@ GOLDEN = {
     "traced-scalar-r2+s3+q4-3": "ee2e116b82853cd780c0622b0e54dd0bcd171bb75d87df44d57657de270f9068",
     "traced-scalar-r2+s3+q4-m400-3": "98ee1996d1f138cedeedcfdc272defee58f968dc39c86997c0fc0ad4130f4a99",
     "traced-scalar-r2+s3+q4-m400-4": "2e927d0ca0863b9b702bfaaa987fcc214aa95a173f7af12069f764b3bfae819d",
+    "traced-scalar-r2+s3+q4-m4000-11": "a7d518055173317512b9dd28ec8c16baf3cf5cd46bc010d942eb3f4b4e7402b9",
     "traced-scalar-s2+s5-3": "97a047034d498ff60c5f5aec5317d2b33fa73c8446745255a1a91204bbc3d5fb",
     "traced-scalar-s3-3": "8ef025645dcef86ca411d17295696055b6332e1a6222e93be4e94097931b0ab0",
 }
@@ -343,6 +344,8 @@ CASES = {
         f"traced-scalar-r2+s3+q4-m400-{s}": (_traced_scalar, "r2+s3+q4", s, 0.05, 400)
         for s in (3, 4)
     },
+    # the private-wide benchmark's size, m = 4000
+    "traced-scalar-r2+s3+q4-m4000-11": (_traced_scalar, "r2+s3+q4", 11, 0.05, 4000),
     **{f"traced-scalar-{a}-{s}": (_traced_scalar, a, s, 0.05) for a in _ALGEBRAS for s in (3,)},
     "traced-scalar-exact-s3-3": (_traced_scalar, "s3", 3, 0.0),
     **{f"traced-constraint-{a}-{s}": (_traced_constraint, a, s, 0.01) for a in _ALGEBRAS for s in (5,)},

@@ -182,6 +182,47 @@ class TestScalarPrivate:
         assert all(b <= a + 1e-9 for a, b in zip(medians, medians[1:]))
 
 
+class TestPerSolveLosses:
+    # the exact and scalar-private solvers scale every row's loss once per
+    # solve; a row whose scaled loss is not finite fails only when picked
+
+    @staticmethod
+    def subnormal_s2(b):
+        row = EjaElement(S2, [np.array([[1e-310, 0.0], [0.0, 1e-310]])])
+        return instance_from_rows(S2, (row,), np.array([b]), zero(S2), ("LE",))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_width_raises_only_at_a_pick(self):
+        # 1 / rho overflows to inf, so the scaled row holds inf and NaN
+        violated = self.subnormal_s2(-1.0)
+        with pytest.raises(ValueError, match="loss element contains non-finite values"):
+            solve_feasibility(violated, 0.5)
+        # every pick is satisfied, so no loss is needed and the solve ends
+        satisfied = self.subnormal_s2(1.0)
+        report = solve_feasibility(satisfied, 0.5)
+        assert report.iterations == 1 and report.violated == ()
+
+    def test_no_element_per_picked_row(self, monkeypatch):
+        instance, _ = generate_feasible_scp(AlgebraDescriptor.from_spec("r2+s3+q4"), 400, 0.05, 3)
+        derived = EjaElement._derived.__func__
+        counts = []
+
+        def counting(cls, algebra, blocks):
+            counts[-1] += 1
+            return derived(cls, algebra, blocks)
+
+        monkeypatch.setattr(EjaElement, "_derived", classmethod(counting))
+        iterations = []
+        for alpha in (0.6, 0.3):
+            counts.append(0)
+            config = SolverConfig(
+                alpha, 0.05, PrivacyBudget(1.0, 1e-5), sensitivity=Sensitivity(0.05, "linf")
+            )
+            iterations.append(solve_scalar_private(instance, config, RandomSource(3)).iterations)
+        assert iterations[0] < iterations[1]
+        assert counts[0] == counts[1]
+
+
 class TestConstraintPrivate:
     def budget(self):
         return PrivacyBudget(2.0, 0.05)
