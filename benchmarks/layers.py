@@ -4,8 +4,8 @@ Each case is timed in CPU seconds per call (``time.process_time``) over
 ``--repeat`` timeit repeats, and both the median and the minimum over the
 repeats are reported: the Jacobi eigensolver at r = 2 to 10, its first
 call at r = 3, 8 and 10 with that size's generated kernel dropped from the
-cache (compile included; left out for a checkout that has no kernel
-cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09
+cache (compile included; the cache may be keyed by n or by (n, True), and
+the case is left out for a checkout that has no kernel cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09
 instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the spin-factor
 eigenvalues of that instance's Q4 stack and its whole ``ScpInstance.width``
 (the cached property's function, run afresh on each call), the cone step kernel
@@ -24,7 +24,10 @@ criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2),
 one criterion-11 constraint-private solve (S2, m = 8, seed 1100, epsilon 2,
 delta 0.05, sensitivity 0.01, alpha from ``constraint_private_alpha_bound``)
 and one criterion-12 objective-private solve over 256 candidates (the
-analytic S2 instance, epsilon 1, delta 0.05, sensitivity 0.1).
+analytic S2 instance, epsilon 1, delta 0.05, sensitivity 0.1), and the
+covering net build, ``idempotent_ray_net`` and its coordinates at the
+covering solver's resolution gamma = sqrt(opt / 2) with opt = 2, on s3
+(80 points, the covering-dense net), s6 (10,236) and q5 (9,344).
 Inputs come from fixed seeds.  The script imports ``conedp`` from the
 checkout it sits in, so a copy of it in another checkout times that
 checkout.
@@ -91,7 +94,7 @@ from conedp.mwu import (  # noqa: E402
     cone_mwu_init,
     cone_mwu_step,
 )
-from conedp.oracles import ScpInstance  # noqa: E402
+from conedp.oracles import ScpInstance, idempotent_ray_net  # noqa: E402
 from conedp.solvers import (  # noqa: E402
     SolverConfig,
     constraint_private_alpha_bound,
@@ -110,6 +113,7 @@ WARM_STEPS = 50  # cone steps folded in before the timed one
 IO_ROWS = 4000
 PROJECTIONS = ((64, 62), (4096, 4000))  # (m, s)
 CANDIDATES = (80, 4000)
+NET_SPECS = ("s3", "s6", "q5")
 
 
 def machine_facts() -> dict:
@@ -151,7 +155,9 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         kernels = getattr(eja, "_KERNELS", None)
         if kernels is not None and r in KERNEL_RANKS:
             out[f"jacobi_first_call/r{r}"] = per_call(
-                lambda: (kernels.pop((r, True), None), _jacobi_eigh(mat)), repeat, min_time
+                lambda: (kernels.pop(r, None), kernels.pop((r, True), None), _jacobi_eigh(mat)),
+                repeat,
+                min_time,
             )
     for spec in STEP_SPECS:
         alg = AlgebraDescriptor.from_spec(spec)
@@ -246,6 +252,11 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         repeat,
         min_time,
     )
+    for spec in NET_SPECS:
+        alg = AlgebraDescriptor.from_spec(spec)
+        out[f"net_build/{spec}"] = per_call(
+            lambda: idempotent_ray_net(alg, 2.0, 1.0).coords, repeat, min_time
+        )
     return out
 
 

@@ -404,7 +404,7 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 
 
-_KERNELS: dict[tuple[int, bool], dict] = {}
+_KERNELS: dict[int, dict] = {}
 _COORD_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
@@ -418,16 +418,17 @@ def _coord_pairs(r: int) -> tuple[tuple[int, int], ...]:
     return pairs
 
 
-def _kernel_source(n: int, vectors: bool) -> str:
+def _kernel_source(n: int) -> str:
     """Python source of the straight-line kernels for n x n blocks; only
     integer indices enter the text.
 
-    ``diagonalize(rows, thresh, max_sweeps)`` runs :func:`_jacobi_sweeps` with
-    entry (p, q), p <= q, in the local ``a{p}_{q}`` and, when ``vectors``,
-    entry k of eigenvector i in ``v{i}_{k}``.  The off-diagonal norm adds
-    the squares of the upper triangle row-major, left to right, not with
-    sum(), which compensates its rounding from Python 3.12 on; the lower
-    triangle's sum is the same sequence.  With ``vectors``,
+    ``diagonalize(rows, thresh, max_sweeps)`` sweeps a finite, exactly
+    symmetric matrix until its off-diagonal norm is at or below ``thresh``,
+    with entry (p, q), p <= q, in the local ``a{p}_{q}`` and entry k of
+    eigenvector i in ``v{i}_{k}``.  The off-diagonal norm adds the squares
+    of the upper triangle row-major, left to right, not with sum(), which
+    compensates its rounding from Python 3.12 on; the lower triangle's sum
+    is the same sequence.
     ``recombine(terms)`` adds each (w, u) of ``terms`` in order as
     acc + w * (u_p * u_q), one local ``e{p}_{q}`` per coordinate of
     :func:`_coord_pairs`.
@@ -436,16 +437,18 @@ def _kernel_source(n: int, vectors: bool) -> str:
     def a(p: int, q: int) -> str:  # the local of entries (p, q) and (q, p)
         return f"a{min(p, q)}_{max(p, q)}"
 
+    def rotated(x: str, y: str) -> str:  # one rotation of the pair of locals (x, y)
+        return f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}"
+
     span = range(n)
     pairs = list(itertools.combinations(span, 2))
     v = [[f"v{i}_{k}" for k in span] for i in span]
     lines = ["def diagonalize(rows, thresh, max_sweeps):"]
     for p in span:
         lines.append(f"    {', '.join(a(p, q) if q >= p else '_' for q in span)}, = rows[{p}]")
-    if vectors:
-        for i in span:
-            ones = ("1.0" if k == i else "0.0" for k in span)
-            lines.append(f"    {', '.join(v[i])}, = {', '.join(ones)},")
+    for i in span:
+        ones = ("1.0" if k == i else "0.0" for k in span)
+        lines.append(f"    {', '.join(v[i])}, = {', '.join(ones)},")
     squares = " + ".join(f"{a(p, q)} * {a(p, q)}" for p, q in pairs) or "0.0"
     lines += [
         "    sweeps = 0",
@@ -474,16 +477,14 @@ def _kernel_source(n: int, vectors: bool) -> str:
             "                t = sign / (size + sqrt(theta * theta + 1.0))",
             "            c = 1.0 / sqrt(t * t + 1.0)",
             "            s = t * c",
-            *(f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}" for x, y in others),
+            *(rotated(x, y) for x, y in others),
             f"            {app}, {aqq}, {apq} = (",
             f"                c * (c * {app} - s * {apq}) - s * (c * {apq} - s * {aqq}),",
             f"                s * (s * {app} + c * {apq}) + c * (s * {apq} + c * {aqq}),",
             "                0.0,",
             "            )",
+            *(rotated(x, y) for x, y in zip(v[p], v[q])),
         ]
-        if vectors:
-            for x, y in zip(v[p], v[q]):
-                lines.append(f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}")
     lines += [
         "        sweeps += 1",
         f"    diag = [{', '.join(a(i, i) for i in span)}]",
@@ -491,8 +492,6 @@ def _kernel_source(n: int, vectors: bool) -> str:
         # the diagonal finite, so no NaN reaches the comparison
         f"    order = sorted(range({n}), key=diag.__getitem__, reverse=True)",
     ]
-    if not vectors:
-        return "\n".join(lines + ["    return [diag[i] for i in order], None"])
     entries = _coord_pairs(n)
     coords = [f"e{p}_{q}" for p, q in entries]
     lines += [
@@ -507,26 +506,26 @@ def _kernel_source(n: int, vectors: bool) -> str:
     return "\n".join(lines)
 
 
-def _kernel(n: int, vectors: bool) -> dict:
+def _kernel(n: int) -> dict:
     """The namespace of :func:`_kernel_source`'s kernels for n x n blocks,
     compiled on first use and kept for the process.  Threads that miss the
     cache together each build the same kernel; the last one is kept."""
-    kernel = _KERNELS.get((n, vectors))
+    kernel = _KERNELS.get(n)
     if kernel is None:
         kernel = {"sqrt": math.sqrt, "JacobiConvergenceError": JacobiConvergenceError}
-        code = compile(_kernel_source(n, vectors), f"<jacobi kernel n={n}>", "exec")
+        code = compile(_kernel_source(n), f"<jacobi kernel n={n}>", "exec")
         exec(code, kernel)
-        _KERNELS[n, vectors] = kernel
+        _KERNELS[n] = kernel
     return kernel
 
 
 def _jacobi_lists(
-    mat: np.ndarray, tol: float, max_sweeps: int, vectors: bool
-) -> tuple[list[float], list[list[float]] | None]:
+    mat: np.ndarray, tol: float, max_sweeps: int
+) -> tuple[list[float], list[list[float]]]:
     """:func:`_jacobi_eigh` as float lists: the eigenvalues in descending
-    order and, when ``vectors``, the matching unit eigenvectors, one list
-    each.  This is the prelude (finiteness, the threshold and the overflow
-    rescale) of :func:`_jacobi_sweeps` for an exactly symmetric ``mat``."""
+    order and the matching unit eigenvectors, one list each.  This is the
+    prelude (finiteness, the threshold and the overflow rescale) of the
+    generated kernel's sweeps for an exactly symmetric ``mat``."""
     a = np.array(mat, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
         scale = _norm2(a)
@@ -534,26 +533,16 @@ def _jacobi_lists(
         raise ValueError("matrix contains non-finite values (NaN or inf)")
     if not math.isfinite(scale):
         exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
-        vals, vecs = _jacobi_lists(np.ldexp(a, -exponent), tol, max_sweeps, vectors)
+        vals, vecs = _jacobi_lists(np.ldexp(a, -exponent), tol, max_sweeps)
         return np.ldexp(vals, exponent).tolist(), vecs
-    return _jacobi_sweeps(a.tolist(), tol * max(1.0, scale), max_sweeps, vectors)
-
-
-def _jacobi_sweeps(
-    rows: list[list[float]], thresh: float, max_sweeps: int, vectors: bool
-) -> tuple[list[float], list[list[float]] | None]:
-    """The sweeps of :func:`_jacobi_eigh` on the rows of a finite, exactly
-    symmetric n x n matrix until the off-diagonal norm is at or below
-    ``thresh``, run by the generated kernel for n (:func:`_kernel_source`)."""
-    return _kernel(len(rows), vectors)["diagonalize"](rows, thresh, max_sweeps)
+    return _kernel(len(a))["diagonalize"](a.tolist(), tol * max(1.0, scale), max_sweeps)
 
 
 def _jacobi_eigh(
     mat: np.ndarray,
     tol: float = _JACOBI_TOL,
     max_sweeps: int = _JACOBI_MAX_SWEEPS,
-    vectors: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of an exactly symmetric matrix.
 
     Sweeps rotate every off-diagonal pair in a fixed row-major order until
@@ -564,7 +553,7 @@ def _jacobi_eigh(
     columns.
 
     The sweeps run in a straight-line Python kernel generated from one
-    template for each size n and vectors flag, compiled on first use and
+    template for each size n, compiled on first use and
     cached for the process (:func:`_kernel_source`); the upper triangle
     and the eigenvector entries are float locals.  A rotation of pair
     (p, q) is the arithmetic of the earlier numpy slice loop, which updated
@@ -589,8 +578,8 @@ def _jacobi_eigh(
     a = np.asarray(mat, dtype=float)
     if not _is_symmetric(a) and np.isfinite(a).all():  # non-finite: _jacobi_lists raises
         raise ValueError("matrix is not exactly symmetric")
-    vals, vecs = _jacobi_lists(a, tol, max_sweeps, vectors)
-    return np.array(vals), np.array(vecs).T if vecs is not None else None
+    vals, vecs = _jacobi_lists(a, tol, max_sweeps)
+    return np.array(vals), np.array(vecs).T
 
 
 def _rotate_stacked(a: np.ndarray, p: int, q: int) -> None:
@@ -631,16 +620,13 @@ def _rotate_stacked(a: np.ndarray, p: int, q: int) -> None:
 
 
 def _offdiag_norms(a: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    # the sequential off-diagonal sums of the generated kernels, one per matrix
+    # the sequential off-diagonal sum of the generated kernels, one per
+    # matrix; the stacks stay exactly symmetric, so the lower sum is the upper
     upper = np.zeros(len(a))
     for p, q in pairs:
         x = a[:, p, q]
         upper = upper + x * x
-    lower = np.zeros(len(a))
-    for p, q in pairs:
-        x = a[:, q, p]
-        lower = lower + x * x
-    return np.sqrt(upper + lower)
+    return np.sqrt(upper + upper)
 
 
 def _jacobi_eigvals_stacked(
@@ -648,7 +634,7 @@ def _jacobi_eigvals_stacked(
 ) -> np.ndarray:
     """Eigenvalues of every matrix in an (m, r, r) stack, each row descending.
 
-    Runs the cyclic Jacobi of ``_jacobi_eigh(vectors=False)`` on all
+    Runs the cyclic Jacobi of ``_jacobi_eigh`` on all
     matrices at once and returns, row for row, its values bit for bit.
     Each matrix keeps its own threshold from the same ``_norm2``
     call, pairs whose a[p][q] is exactly zero are skipped per matrix, and
@@ -666,7 +652,7 @@ def _jacobi_eigvals_stacked(
     finite = np.isfinite(scales)
     out = np.empty((m, n))
     for i in np.flatnonzero(~finite):
-        out[i] = _jacobi_eigh(a[i], tol, max_sweeps, vectors=False)[0]
+        out[i] = _jacobi_eigh(a[i], tol, max_sweeps)[0]
     live = np.flatnonzero(finite)
     work = a[live]
     thresh = tol * np.maximum(1.0, scales[live])
@@ -703,7 +689,7 @@ def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
     if isinstance(factor, RealVector):
         return block.copy()
     if isinstance(factor, SymMatrix):
-        return np.array(_jacobi_lists(block, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, False)[0])
+        return np.array(_jacobi_lists(block, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)[0])
     radius = _norm2(block[1:])
     return np.array([block[0] + radius, block[0] - radius])
 
@@ -747,7 +733,7 @@ def _spectral_entries(
                 basis[i] = 1.0
                 entries.append((value, idx, basis))
         elif isinstance(f, SymMatrix):
-            vals, vecs = _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS, True)
+            vals, vecs = _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
             entries.extend(zip(vals, itertools.repeat(idx), vecs))
         else:
             radius = _norm2(b[1:])
@@ -807,7 +793,7 @@ def _spectral_sums(
     for idx, f in enumerate(factors):
         terms = [(w, data) for w, (_, i, data) in zip(weights, entries) if i == idx]
         if isinstance(f, SymMatrix):
-            sums.append(_kernel(f.r, True)["recombine"](terms))
+            sums.append(_kernel(f.r)["recombine"](terms))
             continue
         acc = [0.0] * f.dim
         for w, data in terms:

@@ -20,7 +20,6 @@ from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
     RealVector,
-    SpinFactor,
     SymMatrix,
     _block_shape,
     _factor_coords,
@@ -167,21 +166,36 @@ class NetBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A finite set of cone points, with their coordinates cached."""
+    """Cone points over one simple factor, stored as a read-only C-ordered
+    copy of their (n, *block shape) stack, with coordinates cached."""
 
-    points: tuple[EjaElement, ...]
+    algebra: AlgebraDescriptor
+    blocks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        blocks = np.array(self.blocks, dtype=float, order="C")
+        factors = self.algebra.factors
+        if len(factors) != 1 or blocks.shape[1:] != _block_shape(factors[0]):
+            raise ValueError(
+                f"a net is one (n, *block shape) stack over a single simple factor; "
+                f"got shape {blocks.shape} over {self.algebra.spec}"
+            )
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def points(self) -> tuple[EjaElement, ...]:
+        """The points as elements whose blocks are views of the stack."""
+        return tuple(EjaElement._derived(self.algebra, [b]) for b in self.blocks)
 
     @cached_property
     def coords(self) -> np.ndarray:
-        mat = np.stack([to_coords(p) for p in self.points])
+        mat = _factor_coords(self.algebra.factors[0], self.blocks)
         mat.setflags(write=False)
         return mat
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -227,65 +241,61 @@ def ball_covering_net(r: int, radius: float, gamma: float) -> np.ndarray:
     return pts[keep]
 
 
+def _first_occurrences(keys) -> list[int]:
+    """Indices of the first occurrence of each key, in order."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return list(first.values())
+
+
 def idempotent_ray_net(alg: AlgebraDescriptor, opt: float, gamma: float) -> CoveringNet:
     """Candidate minimizers for covering programs over one simple factor.
 
     Linear minimization over the trace-capped cone is attained on scaled
     primitive-idempotent rays, so the net enumerates those rays up to the
     requested resolution: symmetric matrices take u u^T over a ball net of
-    u (near-zero u dropped to keep the points genuinely rank one), spin
+    u (u = 0 dropped to keep the points genuinely rank one), spin
     factors take c * (1, w)/2 over a direction net and a scale grid, and
-    real coordinate factors need only the scaled standard basis.
+    real coordinate factors need only the scaled standard basis.  Each
+    stack is built in one pass.  Requires 0 < opt < inf, 0 < gamma <= sqrt(opt).
     """
     if len(alg.factors) != 1:
         raise ValueError("idempotent nets are defined for a single simple factor")
-    if opt <= 0.0:
-        raise ValueError(f"opt must be positive, got {opt}")
+    if not 0.0 < opt < math.inf:
+        raise ValueError(f"opt must be positive and finite, got {opt}")
+    if not 0.0 < gamma <= math.sqrt(opt):
+        raise ValueError(f"gamma must lie in (0, sqrt(opt)], got {gamma}")
     factor = alg.factors[0]
-    points: list[EjaElement] = []
     if isinstance(factor, RealVector):
-        for i in range(factor.k):
-            b = np.zeros(factor.k)
-            b[i] = opt
-            points.append(EjaElement(alg, [b]))
+        blocks = opt * np.eye(factor.k)
     elif isinstance(factor, SymMatrix):
         us = ball_covering_net(factor.r, math.sqrt(opt), gamma)
-        cutoff = 1e-9 * math.sqrt(opt)
-        for u in us:
-            if np.linalg.norm(u) <= cutoff:
-                continue
-            points.append(EjaElement(alg, [np.outer(u, u)]))
-    elif isinstance(factor, SpinFactor):
+        # lattice vectors are exactly zero or at least one pitch long
+        us = us[(us != 0.0).any(axis=1)]
+        blocks = us[:, :, None] * us[:, None, :]
+    else:
         d = factor.n - 1
         # Split the resolution between the scale grid and the direction net:
         # |c q(w) - c' q(w')|^2 <= (c-c')^2 + opt * (angle gap)^2 / 2.
         scale_pitch = gamma / math.sqrt(2.0)
         scales = np.arange(scale_pitch, math.sqrt(opt) + 1e-12, scale_pitch)
         scales = np.concatenate((scales, [math.sqrt(opt)]))
-        theta = gamma / math.sqrt(opt)
         if d == 1:
             dirs = np.array([[1.0], [-1.0]])
         else:
-            raw = ball_covering_net(d, 1.0, min(theta, 1.0) / 2.0)
-            keep = np.linalg.norm(raw, axis=1) >= 0.5
-            raw = raw[keep]
+            raw = ball_covering_net(d, 1.0, gamma / math.sqrt(opt) / 2.0)
+            raw = raw[np.linalg.norm(raw, axis=1) >= 0.5]
             dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        seen = set()
-        for c in scales:
-            for w in dirs:
-                key = (round(float(c), 12),) + tuple(np.round(w, 12))
-                if key in seen:
-                    continue
-                seen.add(key)
-                block = 0.5 * c * np.concatenate(([1.0], w))
-                points.append(EjaElement(alg, [block]))
-    else:
-        raise ValueError(f"unsupported factor {factor!r}")
-    if not points:
-        raise NetBudgetError("net construction produced no points")
-    if len(points) > _MAX_NET_POINTS:
-        raise NetBudgetError(f"net has {len(points)} points (budget {_MAX_NET_POINTS})")
-    return CoveringNet(tuple(points))
+        # a pair repeats an earlier one exactly when its rounded scale or its
+        # rounded direction does: deduplicate each, then form the scale-major grid
+        scales = scales[_first_occurrences(round(c, 12) for c in scales.tolist())]
+        dirs = dirs[_first_occurrences(map(tuple, np.round(dirs, 12).tolist()))]
+        rays = np.concatenate((np.ones((len(dirs), 1)), dirs), axis=1)
+        blocks = ((0.5 * scales)[:, None, None] * rays).reshape(-1, factor.n)
+    if len(blocks) > _MAX_NET_POINTS:
+        raise NetBudgetError(f"net has {len(blocks)} points (budget {_MAX_NET_POINTS})")
+    return CoveringNet(alg, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +325,7 @@ def covering_oracle_exact(y, instance: ScpInstance, net: CoveringNet) -> EjaElem
         raise ValueError("empty net")
     y = _covering_weights(y, instance)
     scores = _covering_scores(y, instance.constraint_coords, net.coords)
-    return net.points[int(np.argmin(scores))]
+    return EjaElement._derived(net.algebra, [net.blocks[int(np.argmin(scores))]])
 
 
 def covering_oracle_sensitivity(opt: float, s: int) -> float:
@@ -334,10 +344,10 @@ def covering_oracle_private(
 ) -> int:
     """Net index of an approximately minimizing point, by exponential mechanism.
 
-    The index addresses both ``net.points`` and the cached ``net.coords``
-    rows.  The mechanism maximizes quality while the oracle minimizes, so
-    it runs at the negated logit scale, which equals negating the scores.
-    The caller guarantees the weight vector comes from a 1/s-dense
+    The index addresses the rows of both ``net.blocks`` and the cached
+    ``net.coords``.  The mechanism maximizes quality while the oracle
+    minimizes, so it runs at the negated logit scale, which equals negating
+    the scores.  The caller guarantees the weight vector comes from a 1/s-dense
     distribution, which bounds the score sensitivity by 3*opt/s.
     """
     y = _covering_weights(y, instance)

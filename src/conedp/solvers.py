@@ -211,8 +211,8 @@ def _planned_iterations(numerator: float, alpha: float) -> int:
     """A schedule's step count T = ceil(numerator / alpha^2), at least 1.
 
     Raises ValueError when T exceeds ``_MAX_ITERATIONS``, naming T and an
-    alpha at most 1.5 % above the smallest that fits, and when alpha^2
-    overflows.
+    alpha at most 1.5 % above the smallest that fits (or that no finite
+    alpha fits, when the numerator overflows), and when alpha^2 overflows.
     """
     try:
         planned = numerator / alpha**2
@@ -220,9 +220,10 @@ def _planned_iterations(numerator: float, alpha: float) -> int:
         raise ValueError(f"alpha = {alpha:g} is too large: alpha^2 overflows") from None
     if planned > _MAX_ITERATIONS:
         smallest = 1.01 * math.sqrt(numerator / _MAX_ITERATIONS)  # fits once rounded
+        fits = f"alpha >= {smallest:.3g} fits" if smallest < math.inf else "no finite alpha fits"
         raise ValueError(
             f"alpha = {alpha:g} plans T = {planned:.3g} iterations, over the cap of "
-            f"{_MAX_ITERATIONS:.0e}; alpha >= {smallest:.3g} fits"
+            f"{_MAX_ITERATIONS:.0e}; {fits}"
         )
     return max(1, math.ceil(planned))
 
@@ -406,8 +407,8 @@ def solve_covering_high_sensitivity(
     satisfies all but fewer than ``density`` rows up to alpha, with high
     probability, when the density meets :func:`covering_density_lower_bound`.
     """
-    if opt <= 0.0:
-        raise ValueError(f"opt must be positive, got {opt}")
+    if not 0.0 < opt < math.inf:
+        raise ValueError(f"opt must be positive and finite, got {opt}")
     if any(s != "GE" for s in instance.senses):
         raise ValueError("covering instances use GE sense rows")
     flags: list[str] = []

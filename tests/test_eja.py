@@ -249,9 +249,6 @@ class TestJacobiEdgeCases:
     def test_matches_lapack_and_reconstructs(self, name):
         mat = _jacobi_edge_matrices()[name]
         vals, vecs = _jacobi_eigh(mat)
-        values_only, none = _jacobi_eigh(mat, vectors=False)
-        assert none is None
-        assert np.array_equal(values_only, vals)
         assert np.all(np.diff(vals) <= 0.0)
         # the convergence threshold is absolute below unit scale
         tol = 1e-10 * max(1.0, float(np.linalg.norm(mat)))
@@ -284,9 +281,8 @@ class TestJacobiEdgeCases:
         with np.errstate(over="ignore"):
             assert np.isinf(np.linalg.norm(mat))
         want = np.linalg.eigvalsh(mat)[::-1]
-        for vectors in (False, True):
-            vals, vecs = _jacobi_eigh(mat, vectors=vectors)
-            assert np.allclose(vals, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+        vals, vecs = _jacobi_eigh(mat)
+        assert np.allclose(vals, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
         assert np.allclose(vecs.T @ vecs, np.eye(3), rtol=0.0, atol=1e-12)
         recon = vecs @ np.diag(vals) @ vecs.T
         assert np.allclose(recon, mat, rtol=0.0, atol=1e-10 * np.abs(mat).max())
@@ -296,22 +292,19 @@ class TestJacobiEdgeCases:
         # a non-finite norm used to leave the threshold non-finite, so no
         # sweep ran and the diagonal came back as the eigenvalues
         mat = np.array([[1.0, bad], [bad, 2.0]])
-        for vectors in (False, True):
-            with pytest.raises(ValueError, match="non-finite"):
-                _jacobi_eigh(mat, vectors=vectors)
+        with pytest.raises(ValueError, match="non-finite"):
+            _jacobi_eigh(mat)
         with pytest.raises(ValueError, match="non-finite"):
             _jacobi_eigh(np.array([[bad, 0.0], [0.0, 2.0]]))
-        for vectors in (False, True):  # a 1 x 1 matrix takes the same check
-            with pytest.raises(ValueError, match="non-finite"):
-                _jacobi_eigh(np.array([[bad]]), vectors=vectors)
+        with pytest.raises(ValueError, match="non-finite"):  # a 1 x 1 matrix too
+            _jacobi_eigh(np.array([[bad]]))
 
     def test_not_exactly_symmetric_raises(self):
         near = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]])
         signed_zero = np.array([[1.0, 0.0, 0.5], [-0.0, 2.0, 0.0], [0.5, 0.0, 3.0]])
         for mat in (near, signed_zero):
-            for vectors in (False, True):
-                with pytest.raises(ValueError, match="not exactly symmetric"):
-                    _jacobi_eigh(mat, vectors=vectors)
+            with pytest.raises(ValueError, match="not exactly symmetric"):
+                _jacobi_eigh(mat)
         with pytest.raises(ValueError, match="not exactly symmetric"):
             _jacobi_eigh(1e160 * near)  # the overflowing-norm path checks too
 
@@ -347,7 +340,7 @@ class TestStackedJacobi:
         got = _jacobi_eigvals_stacked(stack, **kwargs)
         assert got.shape == stack.shape[:2]
         for row, mat in zip(got, stack):
-            want, _ = _jacobi_eigh(mat, vectors=False, **kwargs)
+            want, _ = _jacobi_eigh(mat, **kwargs)
             assert row.tobytes() == want.tobytes()
 
     def test_edge_cases_in_one_stack(self):
@@ -386,7 +379,7 @@ class TestStackedJacobi:
         want = None
         for mat in stack:
             try:
-                _jacobi_eigh(mat, max_sweeps=max_sweeps, vectors=False)
+                _jacobi_eigh(mat, max_sweeps=max_sweeps)
             except JacobiConvergenceError as err:
                 want = err
                 break
@@ -471,8 +464,6 @@ class TestBitIdentityReferences:
             ref_vals, ref_vecs = _numpy_jacobi_reference(mat)
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(vecs, ref_vecs)
-            values_only, none = _jacobi_eigh(mat, vectors=False)
-            assert none is None and values_only.tobytes() == ref_vals.tobytes()
 
     @pytest.mark.parametrize("spec", ["r3", "s4", "q5", "r2+s3+q4", "s2+s5"])
     def test_expm_matches_frame_recombination_bit_for_bit(self, spec, rng):

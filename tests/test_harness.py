@@ -274,7 +274,7 @@ def _reference_covering_sdp(r, m, rng):
     for _ in range(m):
         g = np.asarray(rng.standard_normal(r * r)).reshape(r, r)
         gram = g.T @ g
-        vals, _ = _jacobi_eigh(gram, vectors=False)
+        vals, _ = _jacobi_eigh(gram)
         rows.append(EjaElement(alg, [gram / vals[0]]))
     v = np.asarray(rng.standard_normal(r))
     v /= np.linalg.norm(v)
@@ -816,6 +816,33 @@ class TestCli:
         ]
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize(
+        "opt, message",
+        [
+            ("nan", "opt must be positive and finite, got nan"),
+            ("inf", "opt must be positive and finite, got inf"),
+            # finite, but 3 * opt overflows, and with it the planned T
+            ("1e308", "alpha = 0.1 plans T = inf iterations, over the cap of 1e+07; "
+                      "no finite alpha fits"),
+        ],
+    )
+    def test_non_finite_opt_is_one_error(self, tmp_path, opt, message):
+        runner = CliRunner()
+        inst_path = tmp_path / "cov.json"
+        gen = runner.invoke(
+            cli_main,
+            ["gen", "--kind", "covering-sdp", "--r", "2", "--m", "4",
+             "--seed", "0", "--out", str(inst_path)],
+        )
+        assert gen.exit_code == 0, gen.output
+        result = runner.invoke(
+            cli_main,
+            ["solve", "--instance", str(inst_path), "--solver", "covering-hs", "--opt", opt],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [f"Error: {message}"]
+
     def test_out_of_range_setting_is_exit_one(self, tmp_path):
         runner = CliRunner()
         inst_path = tmp_path / "inst.json"
@@ -1035,5 +1062,5 @@ def test_set_up_builds_no_kernel_and_solves_reuse_them(tmp_path):
     got = json.loads(proc.stdout)
     assert got["after_import"] == got["after_gen"] == []
     first, second = got["after_solves"]
-    assert first == second == [[3, True]]  # the s3 factor's cone step, with vectors
+    assert first == second == [3]  # the s3 factor's cone step
     assert got["reused"]

@@ -8,6 +8,8 @@ import pytest
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
+    RealVector,
+    SymMatrix,
     identity,
     inner,
     jordan_product,
@@ -41,6 +43,7 @@ from conftest import instance_from_rows, random_element
 R2 = AlgebraDescriptor.real(2)
 R3 = AlgebraDescriptor.real(3)
 S2 = AlgebraDescriptor.sym(2)
+Q2 = AlgebraDescriptor.spin(2)
 Q3 = AlgebraDescriptor.spin(3)
 
 
@@ -113,6 +116,139 @@ class TestIdempotentNet:
     def test_mixed_algebra_rejected(self):
         with pytest.raises(ValueError):
             idempotent_ray_net(AlgebraDescriptor.from_spec("r2+s2"), 1.0, 0.5)
+
+    @pytest.mark.parametrize("alg", [R3, S2, Q2, Q3])
+    @pytest.mark.parametrize(
+        "opt, gamma, bad",
+        [
+            (math.nan, 0.5, "opt must be positive and finite, got nan"),
+            (math.inf, 0.5, "opt must be positive and finite, got inf"),
+            (0.0, 0.5, "opt must be positive and finite, got 0.0"),
+            (-1.0, 0.5, "opt must be positive and finite, got -1.0"),
+            (1.0, 0.0, "got 0.0"),
+            (1.0, -0.5, "got -0.5"),
+            (1.0, math.nan, "got nan"),
+            (1.0, 5.0, "got 5.0"),
+            (4.0, 2.5, "got 2.5"),
+        ],
+    )
+    def test_out_of_range_inputs_name_the_value(self, alg, opt, gamma, bad):
+        with pytest.raises(ValueError) as err:
+            idempotent_ray_net(alg, opt, gamma)
+        assert type(err.value) is ValueError
+        assert str(err.value).endswith(bad)
+        if bad.startswith("got"):
+            assert str(err.value).startswith("gamma must lie in (0, sqrt(opt)]")
+
+    def test_gamma_at_sqrt_opt_is_accepted(self):
+        for alg in (R3, S2, Q2, Q3):
+            assert len(idempotent_ray_net(alg, 4.0, 2.0)) > 0
+
+
+def _per_point_net(alg, opt, gamma):
+    """The net builder from before nets were one stack, kept as the
+    reference: one element per point, with spin pairs deduplicated through
+    a seen set.  Returns the points and the number of pairs skipped."""
+    factor = alg.factors[0]
+    points, skipped = [], 0
+    if isinstance(factor, RealVector):
+        for i in range(factor.k):
+            b = np.zeros(factor.k)
+            b[i] = opt
+            points.append(EjaElement(alg, [b]))
+    elif isinstance(factor, SymMatrix):
+        us = ball_covering_net(factor.r, math.sqrt(opt), gamma)
+        cutoff = 1e-9 * math.sqrt(opt)
+        for u in us:
+            if np.linalg.norm(u) <= cutoff:
+                continue
+            points.append(EjaElement(alg, [np.outer(u, u)]))
+    else:
+        d = factor.n - 1
+        scale_pitch = gamma / math.sqrt(2.0)
+        scales = np.arange(scale_pitch, math.sqrt(opt) + 1e-12, scale_pitch)
+        scales = np.concatenate((scales, [math.sqrt(opt)]))
+        theta = gamma / math.sqrt(opt)
+        if d == 1:
+            dirs = np.array([[1.0], [-1.0]])
+        else:
+            raw = ball_covering_net(d, 1.0, min(theta, 1.0) / 2.0)
+            raw = raw[np.linalg.norm(raw, axis=1) >= 0.5]
+            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        seen = set()
+        for c in scales:
+            for w in dirs:
+                key = (round(float(c), 12),) + tuple(np.round(w, 12))
+                if key in seen:
+                    skipped += 1
+                    continue
+                seen.add(key)
+                points.append(EjaElement(alg, [0.5 * c * np.concatenate(([1.0], w))]))
+    return points, skipped
+
+
+# (spec, opt, gamma, whether the reference skips repeated spin pairs)
+NET_CASES = [
+    ("r1", 1.0, 0.5, False),
+    ("r3", 2.5, 0.3, False),
+    ("r5", 26.8, 5.0, False),
+    ("s1", 1.0, 0.25, False),
+    ("s2", 1.0, math.sqrt(0.5), False),
+    ("s2", 2.0, 0.3, False),
+    ("s3", 26.8, math.sqrt(13.4), False),
+    ("s3", 0.3, 0.2, False),
+    ("s4", 2.5, 1.0, False),
+    ("q2", 2.0, 1.0, True),  # the appended last scale repeats the grid's last
+    ("q2", 1.0, 0.3, False),
+    ("q3", 1.0, 0.4, True),  # same-ray lattice points give repeated directions
+    ("q3", 2.0, 1.0, True),  # both kinds of repeat
+    ("q3", 7.0, 1.0, True),
+    ("q4", 8.0, 1.0, True),
+    ("q4", 2.5, 0.5, True),
+    ("q5", 1.0, 0.5, True),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, opt, gamma, repeats", NET_CASES, ids=[f"{c[0]}-{c[1]}-{c[2]:.3g}" for c in NET_CASES]
+)
+def test_net_stack_matches_per_point_reference(spec, opt, gamma, repeats):
+    alg = AlgebraDescriptor.from_spec(spec)
+    net = idempotent_ray_net(alg, opt, gamma)
+    points, skipped = _per_point_net(alg, opt, gamma)
+    assert (skipped > 0) == repeats
+    want_coords = np.stack([to_coords(p) for p in points])
+    assert net.coords.shape == want_coords.shape == (len(points), alg.dim)
+    assert net.coords.tobytes() == want_coords.tobytes()
+    got_blocks = np.stack([p.blocks[0] for p in net.points])
+    want_blocks = np.stack([p.blocks[0] for p in points])
+    assert got_blocks.shape == want_blocks.shape
+    assert got_blocks.tobytes() == want_blocks.tobytes() == net.blocks.tobytes()
+
+
+def test_net_build_constructs_no_element(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the net build constructed an element")
+
+    monkeypatch.setattr(EjaElement, "__init__", refuse)
+    monkeypatch.setattr(EjaElement, "_derived", classmethod(refuse))
+    for spec in ("r3", "s3", "q2", "q5"):
+        net = idempotent_ray_net(AlgebraDescriptor.from_spec(spec), 2.0, 0.5)
+        assert len(net.coords) == len(net) > 0
+
+
+def test_net_is_one_read_only_stack():
+    stack = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.25, 0.25], [0.25, 0.25]]])
+    net = CoveringNet(S2, stack)
+    stack[0, 0, 0] = 5.0  # the net keeps its own copy
+    assert net.blocks[0, 0, 0] == 1.0 and len(net) == 2
+    assert not net.blocks.flags.writeable and not net.coords.flags.writeable
+    assert net.blocks.flags.c_contiguous
+    assert [p.blocks[0].base is net.blocks for p in net.points] == [True, True]
+    with pytest.raises(ValueError, match=r"got shape \(2, 3, 3\) over s2"):
+        CoveringNet(S2, np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="single simple factor"):
+        CoveringNet(AlgebraDescriptor.from_spec("r2+s2"), np.zeros((1, 2)))
 
 
 def covering_instance(constraints, alg):
