@@ -215,8 +215,8 @@ def ball_covering_net(r: int, radius: float, gamma: float) -> np.ndarray:
     gamma, so every ball point sits within gamma of a kept lattice point;
     the cover is deterministic and provable.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if not (0.0 < gamma <= radius):
         raise ValueError(f"gamma must lie in (0, radius], got {gamma}")
     if r < 1:

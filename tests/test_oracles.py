@@ -84,6 +84,9 @@ class TestBallNet:
             ball_covering_net(2, 1.0, 2.0)
         with pytest.raises(ValueError):
             ball_covering_net(2, 0.0, 0.1)
+        for radius in (math.inf, math.nan):  # inf used to overflow in the grid axis
+            with pytest.raises(ValueError, match=f"positive and finite, got {radius}"):
+                ball_covering_net(2, radius, 0.5)
 
 
 class TestIdempotentNet:
