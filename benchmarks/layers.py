@@ -4,9 +4,9 @@ Each case is timed in CPU seconds per call (``time.process_time``) over
 ``--repeat`` timeit repeats, and both the median and the minimum over the
 repeats are reported: the Jacobi eigensolver at r = 2 to 10, its first
 call at r = 3, 8 and 10 with that size's generated kernel dropped from the
-cache (compile included; the cache may be keyed by n or by (n, True), and
-the case is left out for a checkout that has no kernel cache), the stacked eigenvalue Jacobi on the S3 stacks of a criterion-09
-instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the spin-factor
+cache (compile included; the cache is keyed by n, and the case is left out
+for a checkout that has no kernel cache), the stacked eigenvalue Jacobi on
+the S3 stacks of a criterion-09 instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the spin-factor
 eigenvalues of that instance's Q4 stack and its whole ``ScpInstance.width``
 (the cached property's function, run afresh on each call), the cone step kernel
 ``mwu._exp_sums`` (the one the primal solver loop runs) and one cone MWU
@@ -155,7 +155,7 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         kernels = getattr(eja, "_KERNELS", None)
         if kernels is not None and r in KERNEL_RANKS:
             out[f"jacobi_first_call/r{r}"] = per_call(
-                lambda: (kernels.pop(r, None), kernels.pop((r, True), None), _jacobi_eigh(mat)),
+                lambda: (kernels.pop(r, None), _jacobi_eigh(mat)),
                 repeat,
                 min_time,
             )
@@ -175,7 +175,7 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
         )
     instance, _ = generate_feasible_scp(AlgebraDescriptor.sym(3), 32, 0.0, seed=900)
     out["criterion09_solve"] = per_call(
-        lambda: solve_feasibility(instance, 0.1, rng=RandomSource(0)), repeat, min_time
+        lambda: solve_feasibility(instance, 0.1), repeat, min_time
     )
     mixed = AlgebraDescriptor.from_spec("r2+s3+q4")
     out[f"generate_feasible_scp/m{IO_ROWS}"] = per_call(

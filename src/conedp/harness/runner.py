@@ -52,7 +52,7 @@ def _closed_form(bound):
 _SOLVERS = {
     "nonprivate": (
         lambda inst, c, rng, opt: solve_feasibility(
-            inst, c.alpha, rng=rng, collect_trace=c.collect_trace
+            inst, c.alpha, collect_trace=c.collect_trace
         ),
         lambda inst, c: c.alpha,
     ),

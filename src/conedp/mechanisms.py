@@ -21,8 +21,6 @@ __all__ = [
     "RandomSource",
     "gaussian_sigma",
     "gaussian_mechanism",
-    "l1_gaussian_mechanism",
-    "linf_gaussian_mechanism",
     "gibbs_probabilities",
     "exponential_mechanism",
     "exponential_mechanism_sample",
@@ -123,61 +121,48 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_sigma(sensitivity: Sensitivity | float, budget: PrivacyBudget) -> float:
-    """Noise scale delta2 * sqrt(2 log(1.25/delta)) / epsilon.
+def gaussian_sigma(l2_bound: float, budget: PrivacyBudget) -> float:
+    """Noise scale l2_bound * sqrt(2 log(1.25/delta)) / epsilon.
 
+    ``l2_bound`` bounds the release's 2-norm change between neighbors.
     Requires delta > 0; the Gaussian mechanism has no pure-DP form.
     """
-    value = sensitivity.value if isinstance(sensitivity, Sensitivity) else float(sensitivity)
+    if not (0.0 <= l2_bound < math.inf):
+        raise ValueError(f"the l2 bound must be nonnegative and finite, got {l2_bound}")
     if budget.delta <= 0.0:
         raise ValueError("the Gaussian mechanism requires delta > 0")
-    return value * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
+    return l2_bound * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
-def gaussian_mechanism(x: EjaElement, sigma: float, rng: RandomSource) -> EjaElement:
-    """Release x plus an isotropic Gaussian element of scale sigma.
+def gaussian_mechanism(
+    x: EjaElement, sensitivity: Sensitivity, budget: PrivacyBudget, rng: RandomSource
+) -> EjaElement:
+    """Release x plus Gaussian noise calibrated to the sensitivity's norm.
+
+    The noise scale comes from an l2 bound on the change: the value itself
+    for an ``l2`` or ``l1`` tag (the 2-norm never exceeds the 1-norm), and
+    sqrt(rank) times it for ``linf``, with the rank of x's algebra.
+    """
+    bound = sensitivity.value
+    if sensitivity.norm == "linf":
+        bound = math.sqrt(x.algebra.rank) * bound
+    return _gaussian_noise(x, gaussian_sigma(bound, budget), rng)
+
+
+def _gaussian_noise(x: EjaElement, sigma: float, rng: RandomSource) -> EjaElement:
+    """x plus an isotropic Gaussian element of scale sigma.
 
     The noise is drawn in orthonormal coordinates and mapped back through
     the inverse isometry, which makes its 2-norm distribution identical to
     a k-dimensional Gaussian vector.  sigma == 0 returns x exactly and
     consumes no randomness.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (0.0 <= sigma < math.inf):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0.0:
         return x
-    k = x.algebra.dim
-    noise = sigma * rng.standard_normal(k)
+    noise = sigma * rng.standard_normal(x.algebra.dim)
     return x + from_coords(x.algebra, noise)
-
-
-def l1_gaussian_mechanism(
-    x: EjaElement, sensitivity: Sensitivity, budget: PrivacyBudget, rng: RandomSource
-) -> EjaElement:
-    """Gaussian mechanism calibrated to a spectral 1-norm sensitivity.
-
-    Valid because the 2-norm never exceeds the 1-norm.
-    """
-    sigma = gaussian_sigma(sensitivity.value, budget)
-    return gaussian_mechanism(x, sigma, rng)
-
-
-def linf_gaussian_mechanism(
-    x: EjaElement,
-    sensitivity: Sensitivity,
-    rank: int,
-    budget: PrivacyBudget,
-    rng: RandomSource,
-) -> EjaElement:
-    """Gaussian mechanism calibrated to a spectral inf-norm sensitivity.
-
-    Uses the effective 2-norm bound sqrt(rank) * delta_inf; ``rank`` is the
-    algebra rank, not its dimension.
-    """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    sigma = gaussian_sigma(math.sqrt(rank) * sensitivity.value, budget)
-    return gaussian_mechanism(x, sigma, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,8 @@ def ball_covering_net(r: int, radius: float, gamma: float) -> np.ndarray:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if not (0.0 < gamma <= radius):
         raise ValueError(f"gamma must lie in (0, radius], got {gamma}")
-    if r < 1:
-        raise ValueError(f"dimension must be >= 1, got {r}")
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"dimension r must be an integer >= 1, got {r!r}")
     if r > _MAX_NET_RANK:
         raise NetBudgetError(
             f"net dimension {r} exceeds the desk-scale limit {_MAX_NET_RANK}; "

@@ -46,10 +46,10 @@ from conedp.mechanisms import (
     PrivacyBudget,
     RandomSource,
     Sensitivity,
+    _gaussian_noise,
     _gibbs_scale,
     advanced_composition,
     gaussian_mechanism,
-    linf_gaussian_mechanism,
 )
 from conedp.mwu import (
     _exp_sums,
@@ -270,10 +270,7 @@ def _feasibility(
 
 
 def solve_feasibility(
-    instance: ScpInstance,
-    alpha: float,
-    rng: RandomSource | None = None,
-    collect_trace: bool = False,
+    instance: ScpInstance, alpha: float, *, collect_trace: bool = False
 ) -> SolveReport:
     """Find a trace-one cone point satisfying every row up to alpha.
 
@@ -281,9 +278,9 @@ def solve_feasibility(
     admits a feasible trace-one point.  The exact oracle picks the most
     violated row, so the returned average violates no constraint by more
     than alpha; rows that are already satisfied when picked produce no
-    movement.  The oracle draws nothing from ``rng``.
+    movement.  No step draws randomness.
     """
-    return _feasibility(instance, alpha, None, 0.0, rng, collect_trace)
+    return _feasibility(instance, alpha, None, 0.0, None, collect_trace)
 
 
 def solve_scalar_private(
@@ -351,7 +348,7 @@ def solve_constraint_private(
 
     def loss_of(idx: int, rsrc: RandomSource) -> Sequence[np.ndarray]:
         nonlocal exceeded
-        loss = 0.5 * gaussian_mechanism(signs[idx] * instance.row(idx), sigma, rsrc)
+        loss = 0.5 * _gaussian_noise(signs[idx] * instance.row(idx), sigma, rsrc)
         exceeded = exceeded or norm(loss, math.inf) > 1.0 + 1e-9
         return _finite_loss(loss.blocks)
 
@@ -533,18 +530,16 @@ def solve_objective_private(
 ) -> tuple[EjaElement, SolveReport]:
     """Release a perturbed objective, then search the perturbed program.
 
-    The released objective is c plus a Gaussian element at the
-    inf-sensitivity scale; it is safe to optimize non-privately
-    afterwards.  The downstream program carries a unit 2-norm constraint,
-    which is outside the linear solvers here, so it is searched over a
-    desk-scale candidate set (spectral candidates of the perturbed
-    objective plus random unit directions, filtered by cone membership and
-    the linear rows).  The quality transfer holds for the candidates
-    examined.
+    The released objective is c plus a Gaussian element calibrated to
+    ``config.sensitivity`` by :func:`gaussian_mechanism`; it is safe to
+    optimize non-privately afterwards.  The downstream program carries a
+    unit 2-norm constraint, which is outside the linear solvers here, so
+    it is searched over a desk-scale candidate set (spectral candidates of
+    the perturbed objective plus random unit directions, filtered by cone
+    membership and the linear rows).  The quality transfer holds for the
+    candidates examined.
     """
-    perturbed = linf_gaussian_mechanism(
-        instance.objective, config.sensitivity, instance.algebra.rank, config.budget, rng
-    )
+    perturbed = gaussian_mechanism(instance.objective, config.sensitivity, config.budget, rng)
     noise_calls = 1 if config.sensitivity.value > 0.0 else 0
     candidates = _unit_sphere_candidates(instance, perturbed, rng, num_candidates)
     if not candidates:

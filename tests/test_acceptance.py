@@ -327,7 +327,7 @@ def test_criterion_09_nonprivate_solver():
     alpha = 0.1
     for seed in range(20):
         instance, _ = generate_feasible_scp(S3, 32, 0.0, seed=900 + seed)
-        report = solve_feasibility(instance, alpha, rng=RandomSource(seed))
+        report = solve_feasibility(instance, alpha)
         ok &= report.max_violation <= alpha
         ok &= abs(trace(report.solution) - 1.0) <= 1e-8
         ok &= min_eigenvalue(report.solution) >= -1e-8

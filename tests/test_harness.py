@@ -545,6 +545,26 @@ class TestCli:
         )
         assert result.exit_code == 2  # density below the theory floor
 
+    def test_empty_candidate_set_is_exit_two(self, tmp_path):
+        # trace(x) <= -1 holds at no cone point: the objective solver keeps
+        # no candidate and reports T = 0 with an undefined violation
+        inst_path = tmp_path / "empty.json"
+        s2 = AlgebraDescriptor.sym(2)
+        inst = instance_from_rows(s2, (identity(s2),), np.array([-1.0]), zero(s2), ("LE",))
+        save_instance(inst_path, inst, {})
+        csv_path = tmp_path / "rows.csv"
+        result = CliRunner().invoke(
+            cli_main,
+            ["solve", "--instance", str(inst_path), "--solver", "objective",
+             "--eps", "2", "--delta", "1e-5", "--alpha", "0.3", "--dinf", "0.05",
+             "--seed", "1", "--csv", str(csv_path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "T=0 max_violation=nan" in result.output
+        assert "flags=['empty-candidate-set']" in result.output
+        row = csv_path.read_text().splitlines()[1].split(",")
+        assert row[:4] == ["1", "0", "nan", "0"]
+
     def test_non_finite_instance_is_exit_one(self, tmp_path):
         runner = CliRunner()
         inst_path = tmp_path / "inst.json"

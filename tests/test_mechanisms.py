@@ -18,12 +18,16 @@ from conedp.mechanisms import (
     gaussian_mechanism,
     gaussian_sigma,
     gibbs_probabilities,
-    l1_gaussian_mechanism,
-    linf_gaussian_mechanism,
 )
-from conedp.mechanisms import CompositionRangeError, _sample_index, _sample_indices
+from conedp.mechanisms import (
+    CompositionRangeError,
+    _gaussian_noise,
+    _sample_index,
+    _sample_indices,
+)
 
 S2 = AlgebraDescriptor.sym(2)
+MIXED = AlgebraDescriptor.from_spec("r2+s3+q4")
 
 
 class TestTypes:
@@ -118,23 +122,37 @@ class TestRandomSource:
 
 class TestGaussian:
     def test_sigma_formula(self):
-        val = gaussian_sigma(Sensitivity(1.0, "l2"), PrivacyBudget(1.0, 0.05))
+        val = gaussian_sigma(1.0, PrivacyBudget(1.0, 0.05))
         assert val == pytest.approx(math.sqrt(2.0 * math.log(25.0)))
         assert val == pytest.approx(2.5373, abs=1e-4)
-        quadrupled = gaussian_sigma(Sensitivity(2.0, "l2"), PrivacyBudget(0.5, 0.05))
+        quadrupled = gaussian_sigma(2.0, PrivacyBudget(0.5, 0.05))
         assert quadrupled == pytest.approx(4.0 * val)
         with pytest.raises(ValueError):
-            gaussian_sigma(Sensitivity(1.0, "l2"), PrivacyBudget(1.0, 0.0))
+            gaussian_sigma(1.0, PrivacyBudget(1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_sigma_refuses_a_bad_bound(self, bad):
+        with pytest.raises(ValueError, match="l2 bound must be nonnegative and finite"):
+            gaussian_sigma(bad, PrivacyBudget(1.0, 0.05))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_noise_refuses_a_bad_sigma(self, bad):
+        rng = RandomSource(0)
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            _gaussian_noise(zero(S2), bad, rng)
+        assert rng.uniform() == RandomSource(0).uniform()  # nothing drawn
 
     def test_sigma_zero_returns_input(self):
         x = identity(S2)
-        out = gaussian_mechanism(x, 0.0, RandomSource(0))
+        out = _gaussian_noise(x, 0.0, RandomSource(0))
         assert out is x
+        budget = PrivacyBudget(1.0, 0.01)
+        assert gaussian_mechanism(x, Sensitivity(0.0, "linf"), budget, RandomSource(0)) is x
 
     def test_fixed_seed_is_deterministic(self):
         x = identity(S2)
-        a = gaussian_mechanism(x, 1.0, RandomSource(5))
-        b = gaussian_mechanism(x, 1.0, RandomSource(5))
+        a = _gaussian_noise(x, 1.0, RandomSource(5))
+        b = _gaussian_noise(x, 1.0, RandomSource(5))
         assert np.array_equal(to_coords(a), to_coords(b))
 
     def test_noise_second_moment(self):
@@ -146,30 +164,29 @@ class TestGaussian:
         mean_sq = float(np.mean(np.sum(noise**2, axis=1)))
         assert mean_sq == pytest.approx(3 * sigma**2, rel=0.02)
 
-    def test_l1_delegates_with_same_scale(self):
-        x = zero(S2)
-        budget = PrivacyBudget(1.0, 0.01)
-        a = l1_gaussian_mechanism(x, Sensitivity(2.0, "l1"), budget, RandomSource(3))
-        b = gaussian_mechanism(x, gaussian_sigma(2.0, budget), RandomSource(3))
-        assert np.array_equal(to_coords(a), to_coords(b))
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    def test_tag_sets_the_l2_bound(self, tag):
+        # l2 and l1 tags bound the 2-norm change by the value itself, linf by
+        # sqrt(rank) times it, with the algebra's rank (7), not its dim (12)
+        factor = {"l1": 1.0, "l2": 1.0, "linf": math.sqrt(MIXED.rank)}[tag]
+        x = identity(MIXED) / 3.0
+        budget = PrivacyBudget(0.7, 1e-4)
+        dinf = 0.3
+        out = gaussian_mechanism(x, Sensitivity(dinf, tag), budget, RandomSource(13))
+        want = _gaussian_noise(x, gaussian_sigma(factor * dinf, budget), RandomSource(13))
+        assert [b.tobytes() for b in out.blocks] == [b.tobytes() for b in want.blocks]
+        assert (MIXED.rank, MIXED.dim) == (7, 12)
 
     def test_linf_rank_scaling(self):
-        x = zero(S2)
+        # the linf bound follows the algebra's own rank: S4 (rank 4) gets
+        # sqrt(4) = 2 times the l2 release's noise from the same draws
+        s4 = AlgebraDescriptor.sym(4)
         budget = PrivacyBudget(1.0, 0.01)
-        one = linf_gaussian_mechanism(x, Sensitivity(1.0, "linf"), 1, budget, RandomSource(3))
-        four = linf_gaussian_mechanism(x, Sensitivity(1.0, "linf"), 4, budget, RandomSource(3))
-        assert np.allclose(2.0 * to_coords(one), to_coords(four))
-
-    def test_linf_uses_rank_not_dim(self):
-        mixed = AlgebraDescriptor.from_spec("r2+s3+q4")
-        budget = PrivacyBudget(1.0, 0.01)
-        out = linf_gaussian_mechanism(
-            zero(mixed), Sensitivity(1.0, "linf"), mixed.rank, budget, RandomSource(3)
-        )
-        expected_sigma = gaussian_sigma(math.sqrt(mixed.rank), budget)
-        direct = gaussian_mechanism(zero(mixed), expected_sigma, RandomSource(3))
-        assert np.array_equal(to_coords(out), to_coords(direct))
-        assert mixed.rank != mixed.dim
+        l2 = gaussian_mechanism(zero(s4), Sensitivity(1.0, "l2"), budget, RandomSource(3))
+        linf = gaussian_mechanism(zero(s4), Sensitivity(1.0, "linf"), budget, RandomSource(3))
+        assert np.allclose(2.0 * to_coords(l2), to_coords(linf))
+        want = _gaussian_noise(zero(s4), gaussian_sigma(2.0, budget), RandomSource(3))
+        assert to_coords(linf).tobytes() == to_coords(want).tobytes()
 
 
 class TestExponential:

@@ -79,6 +79,11 @@ class TestBallNet:
             ball_covering_net(8, 1.0, 0.01)
         assert "points" in str(err.value)
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, "2"])
+    def test_non_integer_dimension_is_a_value_error(self, r):
+        with pytest.raises(ValueError, match=r"dimension r must be an integer >= 1, got"):
+            ball_covering_net(r, 1.0, 0.5)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             ball_covering_net(2, 1.0, 2.0)

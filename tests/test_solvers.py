@@ -25,9 +25,9 @@ from conedp.mechanisms import (
     PrivacyBudget,
     RandomSource,
     Sensitivity,
+    _gaussian_noise,
     advanced_composition,
-    gaussian_mechanism,
-    linf_gaussian_mechanism,
+    gaussian_sigma,
 )
 from conedp.mwu import (
     bregman_project,
@@ -105,28 +105,28 @@ class TestNonPrivate:
     def test_trivially_feasible_stays_uniform(self):
         # all b_i >= rho: nothing ever violated, iterates never move
         inst = lp([[1, 0], [0.5, 0.5]], [2.0, 3.0])
-        report = solve_feasibility(inst, 0.1, rng=RandomSource(0))
+        report = solve_feasibility(inst, 0.1)
         assert report.violated == ()
         assert np.allclose(report.solution.blocks[0], [0.5, 0.5])
 
     def test_hand_lp(self):
         # feasible trace-one point (0.5, 0.5); both rows tight
         inst = lp([[1, -1], [-1, 1]], [0.0, 0.0])
-        report = solve_feasibility(inst, 0.1, rng=RandomSource(0))
+        report = solve_feasibility(inst, 0.1)
         assert report.max_violation <= 0.1
         assert trace(report.solution) == pytest.approx(1.0, abs=1e-8)
 
     def test_planted_instances(self):
         for seed in range(3):
             inst, meta = generate_feasible_scp(S3, 16, 0.0, seed)
-            report = solve_feasibility(inst, 0.1, rng=RandomSource(seed))
+            report = solve_feasibility(inst, 0.1)
             assert report.max_violation <= 0.1
             assert min_eigenvalue(report.solution) >= -1e-8
             assert trace(report.solution) == pytest.approx(1.0, abs=1e-8)
 
     def test_trace_collection(self):
         inst = lp([[1, -1], [-1, 1]], [0.0, 0.0])
-        report = solve_feasibility(inst, 0.5, rng=RandomSource(0), collect_trace=True)
+        report = solve_feasibility(inst, 0.5, collect_trace=True)
         assert len(report.trace) == report.iterations
         assert report.oracle_invocations == report.iterations
 
@@ -418,7 +418,7 @@ def _reference_cone(instance, solver, config, rng):
         oracle = (step_epsilon, delta_inf)
 
         def loss_of(idx):
-            loss = 0.5 * gaussian_mechanism(signs[idx] * instance.row(idx), sigma, rng)
+            loss = 0.5 * _gaussian_noise(signs[idx] * instance.row(idx), sigma, rng)
             if not flags and norm(loss, math.inf) > 1.0 + 1e-9:
                 flags.append("loss-bound-exceeded")
             return loss
@@ -452,7 +452,7 @@ def _reference_cone(instance, solver, config, rng):
 
 def _solve_cone(instance, solver, config, rng):
     if solver == "exact":
-        return solve_feasibility(instance, config.alpha, rng, collect_trace=True)
+        return solve_feasibility(instance, config.alpha, collect_trace=True)
     if solver == "scalar":
         return solve_scalar_private(instance, config, rng)
     return solve_constraint_private(instance, config, rng)
@@ -578,11 +578,23 @@ class TestObjectivePrivate:
             0.5, 0.05, PrivacyBudget(1.0, 0.05), sensitivity=Sensitivity(0.2, "linf")
         )
         perturbed, report = solve_objective_private(inst, cfg, RandomSource(5), 16)
-        want = linf_gaussian_mechanism(
-            inst.objective, cfg.sensitivity, S2.rank, cfg.budget, RandomSource(5)
-        )
+        sigma = gaussian_sigma(math.sqrt(S2.rank) * 0.2, cfg.budget)
+        want = _gaussian_noise(inst.objective, sigma, RandomSource(5))
         assert [b.tobytes() for b in perturbed.blocks] == [b.tobytes() for b in want.blocks]
         assert report.noise_invocations == 1
+
+    def test_infeasible_instance_reports_an_empty_candidate_set(self):
+        # trace(x) <= -1 holds at no cone point, so every candidate fails a row
+        inst = instance_from_rows(S2, (identity(S2),), np.array([-1.0]), zero(S2), ("LE",))
+        cfg = SolverConfig(
+            0.5, 0.05, PrivacyBudget(1.0, 0.05), sensitivity=Sensitivity(0.2, "linf")
+        )
+        _, report = solve_objective_private(inst, cfg, RandomSource(0), 64)
+        assert report.solution is None
+        assert report.iterations == 0
+        assert math.isnan(report.max_violation)
+        assert report.noise_invocations == 1
+        assert report.guarantee_flags == ("empty-candidate-set",)
 
     def test_alpha_formula(self):
         val = objective_private_alpha_bound(0.1, 2, 3, 1.0, 0.05, 0.05)
