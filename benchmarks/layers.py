@@ -20,7 +20,9 @@ delta 1e-5, alpha 0.3, sensitivity 0.05: one solve of the private-wide
 benchmark sweep), ``bregman_project`` at m = 64 and 4,096
 (s = m - 2 and m - 96, the dense regime of the covering solver),
 ``exponential_mechanism`` over 80 and 4,000 candidates, one
-criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2),
+criterion-10 covering solve (analytic S3, m = 64, s = 62, alpha = opt/2)
+and one step of its loop (``mwu._projected``, ``oracles._covering_pick`` and
+``mwu._reweighted`` on its constraint and net coordinates),
 one criterion-11 constraint-private solve (S2, m = 8, seed 1100, epsilon 2,
 delta 0.05, sensitivity 0.01, alpha from ``constraint_private_alpha_bound``)
 and one criterion-12 objective-private solve over 256 candidates (the
@@ -85,16 +87,25 @@ from conedp.mechanisms import (  # noqa: E402
     PrivacyBudget,
     RandomSource,
     Sensitivity,
+    _gibbs_scale,
     exponential_mechanism,
 )
 from conedp.mwu import (  # noqa: E402
     DenseMeasure,
     _exp_sums,
+    _projected,
+    _reweighted,
+    _update_factors,
     bregman_project,
     cone_mwu_init,
     cone_mwu_step,
 )
-from conedp.oracles import ScpInstance, idempotent_ray_net  # noqa: E402
+from conedp.oracles import (  # noqa: E402
+    ScpInstance,
+    _covering_pick,
+    covering_oracle_sensitivity,
+    idempotent_ray_net,
+)
 from conedp.solvers import (  # noqa: E402
     SolverConfig,
     constraint_private_alpha_bound,
@@ -230,6 +241,23 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
     config = SolverConfig(0.5 * opt, 0.1, PrivacyBudget(1.0, 0.01), density=62)
     out["criterion10_solve"] = per_call(
         lambda: solve_covering_high_sensitivity(cover, opt, config, RandomSource(0)),
+        repeat,
+        min_time,
+    )
+    # one step of that solve's loop on its constraint and net coordinates,
+    # at its density and logit scale (per-step epsilon 0.01), from spread
+    # weights and update factors of random losses in [0, 1]
+    net = idempotent_ray_net(cover.algebra, opt, (opt / 2.0) ** 0.5)
+    constraint_coords, net_coords = cover.constraint_coords, net.coords
+    scale = -_gibbs_scale(covering_oracle_sensitivity(opt, 62), 0.01)
+    weights = np.random.default_rng(64).uniform(size=64) ** 4
+    factors = _update_factors(np.random.default_rng(65).uniform(size=64), 0.05)
+    rng = RandomSource(64)
+    out["covering_step/m64"] = per_call(
+        lambda: (
+            _covering_pick(_projected(weights, 62), constraint_coords, net_coords, scale, rng),
+            _reweighted(weights, factors),
+        ),
         repeat,
         min_time,
     )

@@ -188,14 +188,21 @@ class DenseDistribution:
 
 
 def _check_weights(w: np.ndarray) -> None:
-    if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails both
+    if not (np.minimum.reduce(w) >= 0.0 and np.maximum.reduce(w) <= 1.0):  # NaN fails both
         raise ValueError("weights must lie in [0, 1]")
 
 
 def _check_probabilities(p: np.ndarray, density: int) -> None:
-    if not (p.min() >= 0.0) or abs(float(p.sum()) - 1.0) > 1e-10:
+    low, high = np.minimum.reduce(p, axis=None), np.maximum.reduce(p, axis=None)
+    _check_extremes(low, np.add.reduce(p, axis=None), high, density)
+
+
+def _check_extremes(low: float, total: float, high: float, density: int) -> None:
+    """The probability checks on the smallest entry, the sum and the
+    largest entry of a vector."""
+    if not (low >= 0.0) or abs(float(total) - 1.0) > 1e-10:
         raise ValueError("probabilities must be nonnegative and sum to one")
-    if float(p.max()) > 1.0 / density + 1e-10:
+    if float(high) > 1.0 / density + 1e-10:
         raise ValueError(f"entries must stay at or below 1/{density}")
 
 
@@ -238,19 +245,23 @@ def bregman_project(measure: DenseMeasure, s: int) -> DenseDistribution:
 
 
 def _projected(w: np.ndarray, s: int) -> np.ndarray:
-    """The checked probabilities of :func:`bregman_project` for the weights
-    of a measure and s >= 1, as a new array."""
+    """The checked probabilities of :func:`bregman_project` for s >= 1, as
+    a new array.  The weights must lie in [0, 1]; they are checked here, by
+    the sort of :func:`_first_fit` when more than s weights are all
+    positive and by the full check otherwise (a zero, negative or NaN
+    entry, or at most s positive weights, which sorts nothing)."""
     positive = w[w > 0.0]
+    if positive.size < w.size or positive.size <= s:
+        _check_weights(w)
     if positive.size < s:
         raise ProjectionInfeasibleError(
             f"projection needs at least {s} positive weights, found {positive.size}"
         )
     if positive.size == s:
         probs = np.where(w > 0.0, 1.0 / s, 0.0)
-    else:
-        probs = _first_fit(w, positive, s)
-    _check_probabilities(probs, s)
-    return probs
+        _check_probabilities(probs, s)
+        return probs
+    return _first_fit(w, positive, s)
 
 
 # 1/F_f and every |c_j| are at most max(s, n) / min F for n positive weights,
@@ -259,40 +270,65 @@ def _projected(w: np.ndarray, s: int) -> np.ndarray:
 _OVERFLOW_FREE = 2.0**-970
 
 
-def _quotients_overflow(desc: np.ndarray, s: int) -> bool:
+def _quotients_overflow(asc: np.ndarray, s: int) -> bool:
     with np.errstate(over="ignore"):
-        tails = np.cumsum(desc[::-1])[::-1]
-        c = np.arange(s, s - desc.size, -1) / tails
-        return bool(np.isinf(1.0 / desc[-1]) or np.isinf(c).any())
+        tails = np.cumsum(asc)[::-1]
+        c = np.arange(s, s - asc.size, -1) / tails
+        return bool(np.isinf(1.0 / asc[0]) or np.isinf(c).any())
 
 
 def _first_fit(
     w: np.ndarray, positive: np.ndarray, s: int, unit: float = 1.0
 ) -> np.ndarray:
-    """The probabilities of :func:`bregman_project` for more than s positive
-    weights.  ``unit`` is 1 in the scale of c: the window slack and the
-    bisection's absolute terms are multiples of it (1.0 unless the weights
-    were rescaled)."""
-    desc = np.sort(positive)[::-1]
-    if desc.item(-1) < _OVERFLOW_FREE and _quotients_overflow(desc, s):
-        e_min, e_max = np.frexp([desc[-1], desc[0]])[1].tolist()
+    """The checked probabilities of :func:`bregman_project` for more than s
+    positive weights.  ``unit`` is 1 in the scale of c: the window slack
+    and the bisection's absolute terms are multiples of it, and the weights
+    lie in [0, 1/unit] (1.0 unless the weights were rescaled).
+
+    When every weight is positive, the one sort checks them (a NaN fails
+    ``> 0``) and gives the probability extremes: p = min(1, c* w) / s is
+    nondecreasing in w for c* >= 0, as IEEE multiplication, minimum and
+    division are each monotone under rounding, so min p and max p are
+    exactly that expression at the sorted ends.  The walk starts at the
+    first segment whose candidate meets its upper window end, since every
+    earlier one misses its window, and checks both ends from there as the
+    old per-segment loop did; past the last segment the bisection runs.
+    """
+    asc = np.sort(positive)
+    dense = positive.size == w.size
+    if dense and not asc.item(-1) * unit <= 1.0:
+        raise ValueError("weights must lie in [0, 1]")
+    if asc.item(0) < _OVERFLOW_FREE and _quotients_overflow(asc, s):
+        e_min, e_max = np.frexp([asc[0], asc[-1]])[1].tolist()
         k = -((e_min + e_max) // 2)
         with np.errstate(over="ignore"):  # c * w past DBL_MAX saturates at 1
             return _first_fit(np.ldexp(w, k), np.ldexp(positive, k), s, math.ldexp(unit, -k))
     # segment j: top j entries saturated at 1, the rest still linear in c.
     # tails[j] = sum desc[j:] is a rounded sum of positive weights, so it is
     # at least its largest term and never zero.
-    tails = desc[::-1].cumsum()[::-1]
+    desc = asc[::-1]
+    tails = asc.cumsum()[::-1]
     c = np.arange(s, s - desc.size, -1) / tails
     upper = 1.0 / desc  # segment j ends where entry j saturates
     slack = 1e-12 * unit
-    stop = c <= upper + slack
+    fits = c <= upper + slack
     # segment j starts where entry j - 1 saturates; segment 0 starts at 0,
     # a bound every positive c_0 meets
-    stop[1:] &= upper[:-1] - slack <= c[1:]
-    j = int(stop.argmax())
-    c_star = max(c[j], 0.0) if stop[j] else _bisected_scale(w, positive, s, unit)
-    return np.minimum(1.0, c_star * w) / s
+    for j in range(int(fits.argmax()), desc.size):
+        cj = c.item(j)
+        if (j == 0 or upper.item(j - 1) - slack <= cj) and cj <= upper.item(j) + slack:
+            c_star = max(cj, 0.0)
+            break
+    else:
+        c_star = _bisected_scale(w, positive, s, unit)
+    probs = np.minimum(1.0, c_star * w) / s
+    if dense:
+        low = min(1.0, c_star * asc.item(0)) / s
+        high = min(1.0, c_star * asc.item(-1)) / s
+        _check_extremes(low, np.add.reduce(probs), high, s)
+    else:
+        _check_probabilities(probs, s)
+    return probs
 
 
 def _bisected_scale(w: np.ndarray, positive: np.ndarray, s: int, unit: float) -> float:
@@ -322,10 +358,10 @@ def _update_factors(losses: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _reweighted(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """min(1, w * factors) as a new array, checked as measure weights."""
+    """min(1, w * factors) as a new array, unchecked: the next projection
+    or measure checks it."""
     updated = w * factors
     np.minimum(1.0, updated, out=updated)
-    _check_weights(updated)
     return updated
 
 

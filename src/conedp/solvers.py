@@ -52,6 +52,7 @@ from conedp.mechanisms import (
     gaussian_mechanism,
 )
 from conedp.mwu import (
+    _check_weights,
     _exp_sums,
     _finite_loss,
     _projected,
@@ -293,6 +294,11 @@ def solve_scalar_private(
     run at the per-step epsilon from advanced composition over the T
     oracle calls.  Zero declared sensitivity degenerates to the exact
     oracle, still updating on every pick.
+
+    ``config.sensitivity.value`` is read as a bound on the inf-norm of the
+    change in b, whatever its norm tag.  That is sound for every tag,
+    since |v|_inf <= |v|_2 <= |v|_1, so an l2 or l1 bound is also an inf-norm
+    bound.
     """
     return _feasibility(
         instance,
@@ -328,6 +334,12 @@ def solve_constraint_private(
     noise machinery is bypassed entirely, so the run reduces to the
     scalar-private path and reproduces it bit for bit under a shared
     seed.
+
+    ``config.sensitivity.value`` is read as a bound on the spectral
+    inf-norm of the change in a constraint element, whatever its norm tag.
+    That is sound for every tag, since the inf-, 2- and 1-norms of a
+    spectrum satisfy |v|_inf <= |v|_2 <= |v|_1, so an l2 or l1 bound is
+    also an inf-norm bound.
     """
     delta_inf = config.sensitivity.value
     if instance.width > 1.0 + 1e-9:
@@ -455,6 +467,7 @@ def solve_covering_high_sensitivity(
             flags.append("width-exceeded")
         if trace_rows is not None:
             trace_rows.append((t, worst, worst_raw))
+    _check_weights(weights)  # each earlier update was checked by the next projection
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, tuple(flags), trace_rows)
 

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conedp import eja
+from conedp import eja, mwu
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
@@ -31,7 +32,7 @@ from conedp.mwu import (
     dense_mwu_step,
     uniform_measure,
 )
-from conedp.mwu import _bisected_scale, _dense_mass, _first_fit
+from conedp.mwu import _bisected_scale, _dense_mass, _first_fit, _projected
 
 from conftest import random_element_inf_bounded
 
@@ -330,6 +331,19 @@ def _reference_measures(gen, m):
     yield np.ones(m)
 
 
+def _positive_measures(gen, m):
+    """Named weight vectors in (0, 1] with no zero entry."""
+    w = 1.0 - gen.random(m)
+    yield "random", w
+    yield "ties", np.ceil(w * 10.0) / 10.0
+    # within 1e-12 of 1: most entries saturate, and windows overlap by the slack
+    yield "near-saturated", 1.0 - gen.uniform(0.0, 1e-12, m)
+    yield "all-ones", np.ones(m)
+    # down to e^-40, as after many dense updates
+    yield "tiny", np.exp(-40.0 * gen.random(m))
+    yield "half-tiny", np.where(gen.random(m) < 0.5, np.exp(-40.0 * gen.random(m)), w)
+
+
 def _outcome(project, weights, s):
     try:
         return project(weights, s).probabilities
@@ -360,6 +374,50 @@ class TestBregmanLoopReference:
                     assert got.tobytes() == want.tobytes(), (m, s)
         # s one past the positive count is infeasible for every measure
         assert infeasible == 10
+
+    @pytest.mark.parametrize("m", [2, 64, 4096])
+    def test_all_positive_weights_take_the_sorted_checks(self, m, monkeypatch):
+        # with every weight positive, the checks read the extremes off the
+        # sort; they must equal the reductions over the result bit for bit
+        gen = np.random.default_rng(700 + m)
+        check_extremes = mwu._check_extremes
+        seen = []
+
+        def recording(low, total, high, density):
+            seen.append((low, high))
+            check_extremes(low, total, high, density)
+
+        monkeypatch.setattr(mwu, "_check_extremes", recording)
+        for name, w in _positive_measures(gen, m):
+            assert (w > 0.0).all(), name
+            if m <= 64:
+                densities = range(1, m)
+            else:
+                densities = {1, 2, m // 2, m - 1} | set(gen.integers(1, m, 8).tolist())
+            for s in sorted(densities):
+                seen.clear()
+                got = _projected(w, s)
+                (low, high), = seen
+                want = _loop_bregman_reference(w, s).probabilities
+                assert got.tobytes() == want.tobytes(), (name, m, s)
+                assert np.float64(low).tobytes() == got.min().tobytes(), (name, m, s)
+                assert np.float64(high).tobytes() == got.max().tobytes(), (name, m, s)
+
+    @pytest.mark.parametrize(
+        "weights, s",
+        [
+            ([0.5, math.nan, 0.5, 0.5], 2),
+            ([math.nan, 0.5, 0.5], 3),
+            ([0.5, -0.1, 0.5, 0.5], 2),
+            ([2.0, 2.0, 2.0], 3),
+            ([2.0, 2.0], 3),
+            ([0.5, 0.5, 0.5, 2.0], 3),
+            ([0.5, 0.5, 0.5, math.inf], 3),
+        ],
+    )
+    def test_projection_checks_its_weights(self, weights, s):
+        with pytest.raises(ValueError, match=re.escape("weights must lie in [0, 1]")):
+            _projected(np.array(weights), s)
 
 
 class TestBregmanOverflow:

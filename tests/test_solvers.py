@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conedp import solvers
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
@@ -293,6 +294,26 @@ class TestConstraintPrivate:
         assert "loss-bound-exceeded" in report.guarantee_flags
 
 
+class TestSensitivityTags:
+    # both solvers read the value as an inf-norm bound whatever its tag,
+    # which |v|_inf <= |v|_2 <= |v|_1 makes sound for every tag
+
+    @pytest.mark.parametrize("solve", [solve_scalar_private, solve_constraint_private])
+    def test_every_tag_gives_the_same_report(self, solve):
+        inst, _ = generate_feasible_scp(S3, 8, 0.05, 3)
+        reports = []
+        for tag in ("l1", "l2", "linf"):
+            cfg = SolverConfig(
+                0.5, 0.05, PrivacyBudget(1.0, 1e-5), sensitivity=Sensitivity(0.01, tag),
+                collect_trace=True,
+            )
+            report = solve(inst, cfg, RandomSource(1))
+            reports.append(
+                (to_coords(report.solution).tobytes(), repr(replace(report, solution=None)))
+            )
+        assert reports[0] == reports[1] == reports[2]
+
+
 class TestCovering:
     def analytic_instance(self, r=3, m=16):
         return generate_covering_sdp(r, m, 0, analytic=True)
@@ -324,6 +345,44 @@ class TestCovering:
         cfg = SolverConfig(0.5, 0.1, PrivacyBudget(1.0, 0.01), density=2)
         with pytest.raises(ValueError):
             solve_covering_high_sensitivity(inst, 1.0, cfg, RandomSource(0))
+
+
+class TestCoveringWeightCheck:
+    # the covering loop hands each update to the next projection unchecked;
+    # a NaN row must still fail with the weight range error
+
+    def solve_with_nan_row(self, monkeypatch, alpha, nan_call):
+        inst, meta = generate_covering_sdp(3, 16, 0, analytic=True)
+        cfg = SolverConfig(alpha, 0.1, PrivacyBudget(1.0, 0.01), density=4)
+        projected, covering_row = solvers._projected, solvers._covering_row
+        steps, row_steps = [0], []
+
+        def counting_projected(w, s):
+            steps[0] += 1
+            return projected(w, s)
+
+        def nan_row(*args):
+            factors, *rest = covering_row(*args)
+            row_steps.append(steps[0])
+            if len(row_steps) == nan_call:
+                factors = np.full_like(factors, math.nan)
+            return (factors, *rest)
+
+        planned = solve_covering_high_sensitivity(inst, meta["planted_opt"], cfg, RandomSource(4))
+        monkeypatch.setattr(solvers, "_projected", counting_projected)
+        monkeypatch.setattr(solvers, "_covering_row", nan_row)
+        with pytest.raises(ValueError, match=re.escape("weights must lie in [0, 1]")):
+            solve_covering_high_sensitivity(inst, meta["planted_opt"], cfg, RandomSource(4))
+        return planned.iterations, row_steps[nan_call - 1]
+
+    def test_nan_row_at_a_middle_step(self, monkeypatch):
+        iterations, nan_step = self.solve_with_nan_row(monkeypatch, 0.5, nan_call=2)
+        assert iterations >= 3 and 1 < nan_step < iterations
+
+    def test_nan_row_at_the_only_step(self, monkeypatch):
+        # with T = 1 no later projection sees the update
+        iterations, nan_step = self.solve_with_nan_row(monkeypatch, 1e6, nan_call=1)
+        assert iterations == 1 and nan_step == 1
 
 
 def _reference_covering(instance, opt, config, rng):
