@@ -200,7 +200,7 @@ def _check_probabilities(p: np.ndarray, density: int) -> None:
 def _check_extremes(low: float, total: float, high: float, density: int) -> None:
     """The probability checks on the smallest entry, the sum and the
     largest entry of a vector."""
-    if not (low >= 0.0) or abs(float(total) - 1.0) > 1e-10:
+    if not (low >= 0.0 and abs(float(total) - 1.0) <= 1e-10):  # NaN fails both
         raise ValueError("probabilities must be nonnegative and sum to one")
     if float(high) > 1.0 / density + 1e-10:
         raise ValueError(f"entries must stay at or below 1/{density}")
@@ -286,10 +286,13 @@ def _first_fit(
     lie in [0, 1/unit] (1.0 unless the weights were rescaled).
 
     When every weight is positive, the one sort checks them (a NaN fails
-    ``> 0``) and gives the probability extremes: p = min(1, c* w) / s is
-    nondecreasing in w for c* >= 0, as IEEE multiplication, minimum and
-    division are each monotone under rounding, so min p and max p are
-    exactly that expression at the sorted ends.  The walk starts at the
+    ``> 0``); otherwise :func:`_projected` has checked them.  The sort also
+    gives the probability extremes: p = min(1, c* w) / s is nondecreasing
+    in w for c* >= 0, as IEEE multiplication, minimum and division are each
+    monotone under rounding, so max p is exactly that expression at the
+    largest weight, and min p is that expression at the smallest positive
+    weight, or 0 when a weight is 0.  Only the sum is reduced; a NaN
+    anywhere makes it NaN, which fails the check.  The walk starts at the
     first segment whose candidate meets its upper window end, since every
     earlier one misses its window, and checks both ends from there as the
     old per-segment loop did; past the last segment the bisection runs.
@@ -322,12 +325,9 @@ def _first_fit(
     else:
         c_star = _bisected_scale(w, positive, s, unit)
     probs = np.minimum(1.0, c_star * w) / s
-    if dense:
-        low = min(1.0, c_star * asc.item(0)) / s
-        high = min(1.0, c_star * asc.item(-1)) / s
-        _check_extremes(low, np.add.reduce(probs), high, s)
-    else:
-        _check_probabilities(probs, s)
+    low = min(1.0, c_star * asc.item(0)) / s if dense else 0.0
+    high = min(1.0, c_star * asc.item(-1)) / s
+    _check_extremes(low, np.add.reduce(probs), high, s)
     return probs
 
 
@@ -358,11 +358,19 @@ def _update_factors(losses: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _reweighted(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """min(1, w * factors) as a new array, unchecked: the next projection
-    or measure checks it."""
+    """min(1, w * factors) as a new array, unchecked: the next
+    :func:`_projected` or ``DenseMeasure`` checks it, and
+    :func:`_check_final_weights` the last update of a run, which no
+    projection follows."""
     updated = w * factors
     np.minimum(1.0, updated, out=updated)
     return updated
+
+
+def _check_final_weights(w: np.ndarray) -> None:
+    """Check the weights of a run's last :func:`_reweighted` update as
+    measure weights."""
+    _check_weights(w)
 
 
 def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:

@@ -52,7 +52,7 @@ from conedp.mechanisms import (
     gaussian_mechanism,
 )
 from conedp.mwu import (
-    _check_weights,
+    _check_final_weights,
     _exp_sums,
     _finite_loss,
     _projected,
@@ -467,7 +467,7 @@ def solve_covering_high_sensitivity(
             flags.append("width-exceeded")
         if trace_rows is not None:
             trace_rows.append((t, worst, worst_raw))
-    _check_weights(weights)  # each earlier update was checked by the next projection
+    _check_final_weights(weights)
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, tuple(flags), trace_rows)
 

@@ -444,6 +444,50 @@ class TestBregmanOverflow:
         assert got.tobytes() == want.tobytes()
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("m", [11, 64, 4096])
+    def test_rescaled_measures_take_the_sorted_checks(self, m, monkeypatch):
+        # on the rescaled branch the extremes come from c* times the ldexp'd
+        # sorted ends as Python floats, while the result saturates in numpy;
+        # both must agree with the reductions over the result bit for bit
+        gen = np.random.default_rng(800 + m)
+        check_extremes, first_fit = mwu._check_extremes, mwu._first_fit
+        seen, units = [], []
+
+        def recording(low, total, high, density):
+            seen.append((low, high))
+            check_extremes(low, total, high, density)
+
+        def rescaling(w, positive, s, unit=1.0):
+            units.append(unit)
+            return first_fit(w, positive, s, unit)
+
+        monkeypatch.setattr(mwu, "_check_extremes", recording)
+        monkeypatch.setattr(mwu, "_first_fit", rescaling)
+        measures = [
+            ("all-subnormal", np.full(m, 1e-310)),
+            ("smallest-subnormal", np.where(np.arange(m) < 2, 1.0, 5e-324)),
+        ]
+        # 2**-1016 keeps e^-40 positive, so every copy is all-positive
+        measures += [(name, np.ldexp(w, -1016)) for name, w in _positive_measures(gen, m)]
+        rescaled = 0
+        for name, w in measures:
+            assert (w > 0.0).all(), name
+            densities = range(1, m) if m <= 64 else {1, 2, 3, m // 2, m - 1}
+            for s in sorted(densities):
+                seen.clear()
+                units.clear()
+                got = _projected(w, s)
+                (low, high), = seen
+                rescaled += units[-1] != 1.0
+                assert np.float64(low).tobytes() == got.min().tobytes(), (name, m, s)
+                assert np.float64(high).tobytes() == got.max().tobytes(), (name, m, s)
+                if name.endswith("subnormal"):
+                    continue
+                # the ldexp'd copy scaled back is exact; same problem at unit scale
+                want = _loop_bregman_reference(np.ldexp(w, 1016), s).probabilities
+                assert np.allclose(got, want, rtol=1e-9, atol=0.0), (name, m, s)
+        assert rescaled > len(measures)
+
     def test_near_overflow_weights_keep_the_loop_bits(self):
         # the smallest weight is below 2**-970, so the overflow check runs,
         # but nothing overflows: the usual arithmetic
