@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -520,15 +520,16 @@ def _kernel(n: int) -> dict:
 
 
 def _jacobi_lists(
-    mat: np.ndarray, tol: float, max_sweeps: int
+    a: np.ndarray, tol: float, max_sweeps: int
 ) -> tuple[list[float], list[list[float]]]:
     """:func:`_jacobi_eigh` as float lists: the eigenvalues in descending
     order and the matching unit eigenvectors, one list each.  This is the
     prelude (finiteness, the threshold and the overflow rescale) of the
-    generated kernel's sweeps for an exactly symmetric ``mat``."""
-    a = np.array(mat, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
-        scale = _norm2(a)
+    generated kernel's sweeps for an exactly symmetric float array ``a``.
+    Callers ignore overflow (``np.errstate(over="ignore")``) around it, once
+    for all their calls, so that an overflowing norm takes the rescale
+    without a warning."""
+    scale = _norm2(a)
     if not math.isfinite(scale) and not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite values (NaN or inf)")
     if not math.isfinite(scale):
@@ -578,7 +579,8 @@ def _jacobi_eigh(
     a = np.asarray(mat, dtype=float)
     if not _is_symmetric(a) and np.isfinite(a).all():  # non-finite: _jacobi_lists raises
         raise ValueError("matrix is not exactly symmetric")
-    vals, vecs = _jacobi_lists(a, tol, max_sweeps)
+    with np.errstate(over="ignore"):
+        vals, vecs = _jacobi_lists(a, tol, max_sweeps)
     return np.array(vals), np.array(vecs).T
 
 
@@ -686,12 +688,8 @@ def _jacobi_eigvals_stacked(
 
 
 def _factor_eigenvalues(factor: Factor, block: np.ndarray) -> np.ndarray:
-    if isinstance(factor, RealVector):
-        return block.copy()
-    if isinstance(factor, SymMatrix):
-        return np.array(_jacobi_lists(block, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)[0])
-    radius = _norm2(block[1:])
-    return np.array([block[0] + radius, block[0] - radius])
+    with np.errstate(over="ignore"):  # an overflowing Jacobi norm takes the rescale
+        return np.array(_spectrum(factor, block)[0])
 
 
 def _stacked_eigenvalues(factor: Factor, blocks: np.ndarray) -> np.ndarray:
@@ -713,39 +711,23 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     return vals[np.argsort(-vals, kind="stable")]
 
 
-def _spectral_entries(
-    factors: Sequence[Factor], blocks: Sequence[np.ndarray]
-) -> list[tuple[float, int, list[float]]]:
-    """(eigenvalue, factor index, frame data) sorted descending.
-
-    The frame data is a float list: the frame element's coefficients within
-    its own factor, except in a symmetric factor, where it is the unit
-    eigenvector u and the coefficients are u u^T.  Ties keep factor order
-    (the sort is stable).  The spin factor's frame (1, +-xbar/|xbar|)/2 is
-    formed with the arithmetic of the numpy expression
-    0.5 * concatenate(([1], sgn * xbar / |xbar|)).
+def _spectrum(f: Factor, b: np.ndarray) -> tuple[list[float], list[list[float]] | None]:
+    """One block's eigenvalues, as floats, and each one's frame data: a real
+    block's entries, whose frame is the standard basis (None); a symmetric
+    block's descending spectrum and unit eigenvectors u (the frame elements
+    are u u^T), from :func:`_jacobi_lists` under the caller's overflow
+    guard; a spin block's x0 +- |xbar| and frame (1, +-xbar/|xbar|)/2, with
+    the arithmetic of 0.5 * concatenate(([1], sgn * xbar / |xbar|)).
     """
-    entries: list[tuple[float, int, list[float]]] = []
-    for idx, (f, b) in enumerate(zip(factors, blocks)):
-        if isinstance(f, RealVector):
-            for i, value in enumerate(b.tolist()):
-                basis = [0.0] * f.k
-                basis[i] = 1.0
-                entries.append((value, idx, basis))
-        elif isinstance(f, SymMatrix):
-            vals, vecs = _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
-            entries.extend(zip(vals, itertools.repeat(idx), vecs))
-        else:
-            radius = _norm2(b[1:])
-            if radius > 0.0:
-                direction = [x / radius for x in b[1:].tolist()]
-            else:
-                direction = [1.0] + [0.0] * (f.n - 2)
-            for sgn in (1.0, -1.0):
-                q = [0.5] + [0.5 * (sgn * x) for x in direction]
-                entries.append((float(b[0] + sgn * radius), idx, q))
-    entries.sort(key=lambda e: -e[0])
-    return entries
+    if isinstance(f, SymMatrix):
+        return _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
+    if isinstance(f, RealVector):
+        return b.tolist(), None
+    x0, *xbar = b.tolist()
+    radius = _norm2(b[1:])
+    direction = [x / radius for x in xbar] if radius > 0.0 else [1.0] + [0.0] * (f.n - 2)
+    frame = [[0.5] + [0.5 * (sgn * x) for x in direction] for sgn in (1.0, -1.0)]
+    return [x0 + radius, x0 - radius], frame
 
 
 def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
@@ -759,7 +741,12 @@ def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     combined spectrum is sorted descending with ties kept in factor order.
     """
     alg = x.algebra
-    entries = _spectral_entries(alg.factors, x.blocks)
+    with np.errstate(over="ignore"):  # an overflowing Jacobi norm takes the rescale
+        spectra = [_spectrum(f, b) for f, b in zip(alg.factors, x.blocks)]
+    entries = []
+    for idx, (f, (vals, data)) in enumerate(zip(alg.factors, spectra)):
+        entries.extend(zip(vals, itertools.repeat(idx), data or np.eye(f.rank).tolist()))
+    entries.sort(key=lambda e: -e[0])
     frame = []
     for _, idx, data in entries:
         blocks = [np.zeros(_block_shape(f)) for f in alg.factors]
@@ -768,45 +755,70 @@ def spectral_decompose(x: EjaElement) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([e[0] for e in entries]), tuple(frame))
 
 
-def _spectral_sums(
-    factors: Sequence[Factor],
-    blocks: Sequence[np.ndarray],
-    weights_of: Callable[[np.ndarray], np.ndarray],
-) -> list[list[float]]:
-    """sum w_i q_i with w = weights_of(descending spectrum), as float lists.
+def _spectral_exp(
+    factors: Sequence[Factor], blocks: Sequence[np.ndarray], normalized: bool
+) -> list[float]:
+    """sum w_i q_i over the spectra (:func:`_spectrum`) of these per-factor
+    blocks, as one flat list in the order of :func:`to_coords` without its
+    sqrt(2) factors (:func:`_coord_scales`).
 
-    Per factor, one flat list: a symmetric block's diagonal, then its
-    strict upper triangle row-major (the order of :func:`to_coords`,
-    unscaled); any other block as it is.  Each w_i q_i is added into its own
-    factor only, as sequential rank-one updates in descending eigenvalue
-    order: entry (p, q) of a symmetric block takes acc + w * (u_p * u_q),
-    the arithmetic of ``acc += w * np.outer(u, u)``, in the block's
-    generated ``recombine`` (:func:`_kernel_source`), and entry q of another
-    block acc + w * q_q, that of ``acc += w * q``.  For finite weights the
-    sums match a recombination over the full frame bit for bit: the
-    skipped terms are the frame's zero blocks, and adding w * 0.0 changes
-    nothing.
+    w_i = exp(lambda_i), and one that is not finite raises ValueError
+    naming lambda_i; ``normalized`` takes the trace-one exp(lambda_i -
+    lambda_max) / sum instead, summed over the spectrum sorted descending
+    by one stable sort (ties in factor order), which one symmetric or spin
+    factor's spectrum needs no sort for.  A symmetric block takes its terms
+    in descending order as acc + w * (u_p * u_q) per entry, the arithmetic
+    of ``acc += w * np.outer(u, u)``, in its generated ``recombine``
+    (:func:`_kernel_source`); a spin block (0.0 + w_1 * q_1) + w_2 * q_2;
+    a real block its weights, which is what ``acc += w * e_j`` gives for
+    finite weights.  These are the sums of a recombination over the full
+    frame bit for bit: adding a zero block's w * 0.0 changes nothing.
     """
-    entries = _spectral_entries(factors, blocks)
-    weights = weights_of(np.array([e[0] for e in entries])).tolist()
-    sums = []
-    for idx, f in enumerate(factors):
-        terms = [(w, data) for w, (_, i, data) in zip(weights, entries) if i == idx]
+    values: list[float] = []
+    frames = []
+    for f, b in zip(factors, blocks):
+        vals, frame = _spectrum(f, b)
+        values += vals
+        frames.append(frame)
+    order = None
+    if len(factors) > 1 or isinstance(factors[0], RealVector):
+        order = sorted(range(len(values)), key=lambda i: -values[i])
+        values = [values[i] for i in order]
+    if normalized:
+        top = values[0]
+        w = np.exp([v - top for v in values])
+        total = float(np.add.reduce(w))
+        weights = [x / total for x in w.tolist()]
+    else:
+        weights = np.exp(values).tolist()
+        for value, weight in zip(values, weights):
+            if not math.isfinite(weight):
+                raise ValueError(f"exp of the eigenvalue {value!r} is not finite")
+    if order is not None:  # back to factor order
+        weights = [w for _, w in sorted(zip(order, weights))]
+    out: list[float] = []
+    pos = 0
+    for f, frame in zip(factors, frames):
+        ws = weights[pos : pos + f.rank]
+        pos += f.rank
         if isinstance(f, SymMatrix):
-            sums.append(_kernel(f.r)["recombine"](terms))
-            continue
-        acc = [0.0] * f.dim
-        for w, data in terms:
-            acc = [x + w * y for x, y in zip(acc, data)]
-        sums.append(acc)
-    return sums
+            out += _kernel(f.r)["recombine"](zip(ws, frame))
+        elif isinstance(f, SpinFactor):
+            (hi, lo), (plus, minus) = ws, frame
+            out += [(0.0 + hi * p) + lo * m for p, m in zip(plus, minus)]
+        else:
+            out += ws
+    return out
 
 
-def _sums_element(alg: AlgebraDescriptor, sums: list[list[float]]) -> EjaElement:
-    """The element of :func:`_spectral_sums`' lists, symmetric blocks
+def _flat_element(alg: AlgebraDescriptor, flat: list[float]) -> EjaElement:
+    """The element of :func:`_spectral_exp`'s flat list, symmetric blocks
     mirrored from their upper triangle."""
     blocks = []
-    for f, acc in zip(alg.factors, sums):
+    pos = 0
+    for f in alg.factors:
+        acc = flat[pos : pos + f.dim]
+        pos += f.dim
         if isinstance(f, SymMatrix):
             rows = [[0.0] * f.r for _ in range(f.r)]
             for (p, q), value in zip(_coord_pairs(f.r), acc):
@@ -818,8 +830,10 @@ def _sums_element(alg: AlgebraDescriptor, sums: list[list[float]]) -> EjaElement
 
 def expm(x: EjaElement) -> EjaElement:
     """Spectral exponential, sum exp(lambda_i) q_i, with no frame built (see
-    :func:`_spectral_sums`)."""
-    return _sums_element(x.algebra, _spectral_sums(x.algebra.factors, x.blocks, np.exp))
+    :func:`_spectral_exp`).  An eigenvalue whose exp overflows (one above
+    about 709.78) raises ValueError, which names it."""
+    with np.errstate(over="ignore"):  # an overflowing exp raises; a Jacobi norm rescales
+        return _flat_element(x.algebra, _spectral_exp(x.algebra.factors, x.blocks, False))
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +891,11 @@ def to_coords(x: EjaElement) -> np.ndarray:
     )
 
 
-def _sums_coords(factors: Sequence[Factor], sums: list[list[float]]) -> np.ndarray:
-    """``to_coords(_sums_element(alg, sums))`` read straight from the lists
-    of :func:`_spectral_sums`, with the same products by sqrt(2)."""
-    out: list[float] = []
-    for f, acc in zip(factors, sums):
-        # all but a real block and a symmetric block's diagonal take sqrt(2)
-        kept = f.k if isinstance(f, RealVector) else f.r if isinstance(f, SymMatrix) else 0
-        out += acc[:kept]
-        out += [_SQRT2 * v for v in acc[kept:]]
-    return np.array(out)
+def _coord_scales(alg: AlgebraDescriptor) -> np.ndarray:
+    """The factors that take :func:`_spectral_exp`'s flat list to
+    :func:`to_coords` with its products: 1.0, or sqrt(2) off a symmetric
+    diagonal and in a spin block."""
+    return to_coords(EjaElement(alg, [np.ones(_block_shape(f)) for f in alg.factors]))
 
 
 def _coords_blocks(alg: AlgebraDescriptor, v: np.ndarray) -> list[np.ndarray]:

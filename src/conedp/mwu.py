@@ -19,14 +19,13 @@ import numpy as np
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
-    Factor,
     identity,
     inner,
     norm,
     spectral_decompose,
     zero,
-    _spectral_sums,
-    _sums_element,
+    _flat_element,
+    _spectral_exp,
 )
 
 __all__ = [
@@ -66,13 +65,6 @@ def cone_mwu_init(alg: AlgebraDescriptor, eta: float) -> ConeMwuState:
     return ConeMwuState(alg, float(eta), zero(alg), identity(alg) / alg.rank)
 
 
-def _normalized_exp(vals: np.ndarray) -> np.ndarray:
-    """exp of a descending spectrum shifted by its maximum, summing to one."""
-    weights = np.exp(vals - vals[0])
-    weights /= np.add.reduce(weights)  # frame elements have unit trace
-    return weights
-
-
 def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
     """Fold in one loss and recompute the normalized exponential iterate.
 
@@ -87,7 +79,9 @@ def cone_mwu_step(state: ConeMwuState, loss: EjaElement) -> ConeMwuState:
     _finite_loss(loss.blocks)
     cumulative = state.cumulative_loss + loss
     alg = cumulative.algebra
-    iterate = _sums_element(alg, _exp_sums(alg.factors, state.eta, cumulative.blocks))
+    scaled = [-state.eta * b for b in cumulative.blocks]
+    with np.errstate(over="ignore"):  # an overflowing Jacobi norm takes the rescale
+        iterate = _flat_element(alg, _spectral_exp(alg.factors, scaled, True))
     return ConeMwuState(state.algebra, state.eta, cumulative, iterate)
 
 
@@ -97,16 +91,6 @@ def _finite_loss(blocks: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
         if not np.isfinite(b).all():
             raise ValueError("loss element contains non-finite values")
     return blocks
-
-
-def _exp_sums(
-    factors: Sequence[Factor], eta: float, cumulative: Sequence[np.ndarray]
-) -> list[list[float]]:
-    """The step kernel: the normalized exp(-eta * cumulative) for the
-    per-factor blocks of the cumulative loss, as the float lists of
-    ``eja._spectral_sums``.  The scaled blocks are (-eta) * block, the
-    arithmetic of ``-eta * element``."""
-    return _spectral_sums(factors, [-eta * b for b in cumulative], _normalized_exp)
 
 
 def cone_mwu_regret_certificate(
@@ -182,6 +166,8 @@ class DenseDistribution:
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=float)
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("probabilities must be a nonempty 1-d array")
         _check_probabilities(p, self.density)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -193,8 +179,7 @@ def _check_weights(w: np.ndarray) -> None:
 
 
 def _check_probabilities(p: np.ndarray, density: int) -> None:
-    low, high = np.minimum.reduce(p, axis=None), np.maximum.reduce(p, axis=None)
-    _check_extremes(low, np.add.reduce(p, axis=None), high, density)
+    _check_extremes(np.minimum.reduce(p), np.add.reduce(p), np.maximum.reduce(p), density)
 
 
 def _check_extremes(low: float, total: float, high: float, density: int) -> None:

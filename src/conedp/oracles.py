@@ -392,5 +392,5 @@ def dual_oracle_private(
     randomness.  The index is returned even when every row is satisfied.
     """
     if sensitivity == 0.0:
-        return int(np.argmax(scores))
+        return int(np.asarray(scores).argmax())
     return exponential_mechanism(scores, sensitivity, epsilon, rng)

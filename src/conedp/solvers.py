@@ -32,7 +32,8 @@ import numpy as np
 
 from conedp.eja import (
     EjaElement,
-    _sums_coords,
+    _coord_scales,
+    _spectral_exp,
     from_coords,
     identity,
     inner,
@@ -53,7 +54,6 @@ from conedp.mechanisms import (
 )
 from conedp.mwu import (
     _check_final_weights,
-    _exp_sums,
     _finite_loss,
     _projected,
     _reweighted,
@@ -179,26 +179,31 @@ def _primal_mwu(
     variants inject noise).
 
     Each step is the arithmetic of :func:`cone_mwu_step` on per-factor
-    arrays: the cumulative loss is a list of blocks, and the step kernel
-    returns the new iterate's sums, read straight into coordinates.
+    arrays: the cumulative loss is a list of blocks, and
+    ``eja._spectral_exp`` returns the new iterate's sums, which the
+    ``eja._coord_scales`` products take straight to coordinates.  Overflow
+    is ignored once for the whole loop, for the Jacobi norm's rescale.
     """
     epsilon, sensitivity = oracle or (0.0, 0.0)
     state = cone_mwu_init(instance.algebra, eta)
     factors = instance.algebra.factors
     cumulative = list(state.cumulative_loss.blocks)
     coords = to_coords(state.iterate)
+    scales = _coord_scales(instance.algebra)
+    neg_eta = -state.eta
     avg_coords = np.zeros(instance.algebra.dim)
     trace_rows: list[tuple[int, int, float]] | None = [] if collect_trace else None
-    for t in range(1, iterations + 1):
-        avg_coords += coords
-        scores = instance.violations(coords)
-        idx = dual_oracle_private(scores, epsilon, sensitivity, rng)
-        if trace_rows is not None:
-            trace_rows.append((t, idx, float(scores[idx])))
-        if oracle is None and scores[idx] <= 0.0:
-            continue
-        cumulative = [c + l for c, l in zip(cumulative, loss_of(idx, rng))]
-        coords = _sums_coords(factors, _exp_sums(factors, state.eta, cumulative))
+    with np.errstate(over="ignore"):
+        for t in range(1, iterations + 1):
+            avg_coords += coords
+            scores = instance.violations(coords)
+            idx = dual_oracle_private(scores, epsilon, sensitivity, rng)
+            if trace_rows is not None:
+                trace_rows.append((t, idx, float(scores[idx])))
+            if oracle is None and scores[idx] <= 0.0:
+                continue
+            cumulative = [c + l for c, l in zip(cumulative, loss_of(idx, rng))]
+            coords = scales * _spectral_exp(factors, [neg_eta * c for c in cumulative], True)
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, (), trace_rows)
 
@@ -261,7 +266,7 @@ def _feasibility(
     finite = np.all([np.isfinite(s.reshape(len(s), -1)).all(axis=1) for s in scaled], axis=0)
 
     def loss_of(idx: int, _rng: RandomSource) -> Sequence[np.ndarray]:
-        if not finite[idx]:
+        if not finite.item(idx):
             raise ValueError("loss element contains non-finite values")
         return [s[idx] for s in scaled]
 

@@ -1,6 +1,7 @@
 """Unit tests for the algebra layer: operations, examples, and axioms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conedp.eja import (
     AlgebraMismatchError,
     EjaElement,
     JacobiConvergenceError,
+    eigenvalues,
     expm,
     from_coords,
     identity,
@@ -513,6 +515,19 @@ class TestExp:
     def test_exp_diagonal(self):
         out = expm(sym([[math.log(2.0), 0.0], [0.0, 0.0]]))
         assert np.allclose(out.blocks[0], [[2.0, 0.0], [0.0, 1.0]])
+
+    def test_overflowing_spectrum_raises(self):
+        # exp(800) overflows; the real block's second entry used to come back
+        # as NaN, from inf * 0.0 in the recombination over the standard basis
+        alg = AlgebraDescriptor.from_spec("r2+q3")
+        with pytest.raises(ValueError, match=r"exp of the eigenvalue 800\.0 is not finite"):
+            expm(from_coords(alg, [800.0, 1.0, 0.0, 0.0, 0.0]))
+        real = expm(from_coords(alg, [709.0, 1.0, 0.0, 0.0, 0.0])).blocks[0]
+        assert real.tolist() == np.exp([709.0, 1.0]).tolist()
+        for x in (sym([[0.0, 800.0], [800.0, 0.0]]), EjaElement(Q3, [np.array([0.0, 0.0, -710.0])])):
+            top = float(eigenvalues(x)[0])
+            with pytest.raises(ValueError, match=re.escape(f"exp of the eigenvalue {top!r} is not")):
+                expm(x)
 
     def test_exp_matches_power_series(self, rng):
         for alg in FACTOR_ALGEBRAS.values():

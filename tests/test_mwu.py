@@ -11,6 +11,7 @@ from conedp import eja, mwu
 from conedp.eja import (
     AlgebraDescriptor,
     EjaElement,
+    expm,
     identity,
     min_eigenvalue,
     norm,
@@ -19,6 +20,7 @@ from conedp.eja import (
     trace,
     zero,
 )
+from conedp.harness.generators import random_element
 from conedp.mechanisms import RandomSource
 from conedp.mwu import (
     DenseDistribution,
@@ -148,6 +150,176 @@ class TestConeStepReference:
             for got, want in zip(state.iterate.blocks, want_iterate.blocks):
                 assert not got.flags.writeable
                 assert got.tobytes() == want.tobytes()
+
+
+def _reference_jacobi_lists(mat, tol, max_sweeps):
+    """``eja._jacobi_lists`` before its callers took over the overflow guard:
+    it copied its input and ignored overflow on every call."""
+    a = np.array(mat, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing norm takes the rescale below
+        scale = eja._norm2(a)
+    if not math.isfinite(scale) and not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite values (NaN or inf)")
+    if not math.isfinite(scale):
+        exponent = int(np.frexp(np.abs(a).max())[1])  # scaled entries below 1
+        vals, vecs = _reference_jacobi_lists(np.ldexp(a, -exponent), tol, max_sweeps)
+        return np.ldexp(vals, exponent).tolist(), vecs
+    return eja._kernel(len(a))["diagonalize"](a.tolist(), tol * max(1.0, scale), max_sweeps)
+
+
+def _reference_entries(factors, blocks):
+    """``eja._spectral_entries`` as it was: (eigenvalue, factor index, frame
+    data) over every factor, sorted descending by one stable sort."""
+    entries = []
+    for idx, (f, b) in enumerate(zip(factors, blocks)):
+        if isinstance(f, eja.RealVector):
+            for i, value in enumerate(b.tolist()):
+                basis = [0.0] * f.k
+                basis[i] = 1.0
+                entries.append((value, idx, basis))
+        elif isinstance(f, eja.SymMatrix):
+            vals, vecs = _reference_jacobi_lists(b, eja._JACOBI_TOL, eja._JACOBI_MAX_SWEEPS)
+            entries.extend(zip(vals, itertools.repeat(idx), vecs))
+        else:
+            radius = eja._norm2(b[1:])
+            if radius > 0.0:
+                direction = [x / radius for x in b[1:].tolist()]
+            else:
+                direction = [1.0] + [0.0] * (f.n - 2)
+            for sgn in (1.0, -1.0):
+                q = [0.5] + [0.5 * (sgn * x) for x in direction]
+                entries.append((float(b[0] + sgn * radius), idx, q))
+    entries.sort(key=lambda e: -e[0])
+    return entries
+
+
+def _reference_normalized_exp(vals):
+    weights = np.exp(vals - vals[0])
+    weights /= np.add.reduce(weights)
+    return weights
+
+
+def _reference_sums(factors, blocks, weights_of):
+    """``eja._spectral_sums`` as it was: every factor's sums of w_i q_i over
+    the terms of its own entries, picked from the global order."""
+    entries = _reference_entries(factors, blocks)
+    weights = weights_of(np.array([e[0] for e in entries])).tolist()
+    sums = []
+    for idx, f in enumerate(factors):
+        terms = [(w, data) for w, (_, i, data) in zip(weights, entries) if i == idx]
+        if isinstance(f, eja.SymMatrix):
+            sums.append(eja._kernel(f.r)["recombine"](terms))
+            continue
+        acc = [0.0] * f.dim
+        for w, data in terms:
+            acc = [x + w * y for x, y in zip(acc, data)]
+        sums.append(acc)
+    return sums
+
+
+def _reference_coords(factors, sums):
+    """``eja._sums_coords``: the sums as coordinates, with its sqrt(2) products."""
+    out = []
+    for f, acc in zip(factors, sums):
+        kept = f.k if isinstance(f, eja.RealVector) else f.r if isinstance(f, eja.SymMatrix) else 0
+        out += acc[:kept]
+        out += [math.sqrt(2.0) * v for v in acc[kept:]]
+    return np.array(out)
+
+
+def _reference_blocks(factors, sums):
+    """``eja._sums_element``'s blocks, symmetric ones mirrored from the upper
+    triangle."""
+    blocks = []
+    for f, acc in zip(factors, sums):
+        if isinstance(f, eja.SymMatrix):
+            rows = [[0.0] * f.r for _ in range(f.r)]
+            for (p, q), value in zip(eja._coord_pairs(f.r), acc):
+                rows[p][q] = rows[q][p] = value
+            acc = rows
+        blocks.append(np.array(acc))
+    return blocks
+
+
+REFERENCE_SPECS = ["r1", "r3"] + [f"s{r}" for r in range(1, 11)] + [
+    "q2", "q5", "r2+s3+q4", "s3+s3+q3"
+]
+
+
+def _step_cases(alg, rng):
+    """Named elements for the step reference: random ones at sub-unit, unit
+    and larger scale, the identity (every eigenvalue tied), ties across and
+    within factors, zero spin radii, and symmetric blocks whose Frobenius
+    norm overflows (the Jacobi rescale)."""
+    cases = {f"random-{scale:g}": random_element(alg, rng, scale) for scale in (1e-3, 1.0, 30.0)}
+    cases["identity"] = identity(alg)
+    tied = []
+    for f in alg.factors:  # eigenvalues 1 and 0 in every factor
+        if isinstance(f, eja.SymMatrix):
+            tied.append(np.diag([1.0] + [0.0] * (f.r - 1)))
+        elif isinstance(f, eja.SpinFactor):
+            tied.append(np.array([0.5, 0.5] + [0.0] * (f.n - 2)))
+        else:
+            tied.append(np.array([1.0] + [0.0] * (f.k - 1)))
+    cases["ties"] = EjaElement(alg, tied)
+    x = random_element(alg, rng)
+    flat = [np.concatenate(([b[0]], np.zeros(len(b) - 1))) if isinstance(f, eja.SpinFactor) else b
+            for f, b in zip(alg.factors, x.blocks)]
+    cases["zero-radius"] = EjaElement(alg, flat)
+    if any(isinstance(f, eja.SymMatrix) for f in alg.factors):
+        huge = [1e160 * b if isinstance(f, eja.SymMatrix) else b
+                for f, b in zip(alg.factors, random_element(alg, rng).blocks)]
+        with np.errstate(over="ignore"):
+            assert all(math.isinf(eja._norm2(b)) for f, b in zip(alg.factors, huge)
+                       if isinstance(f, eja.SymMatrix))
+        cases["overflowing-norm"] = EjaElement(alg, huge)
+    return cases
+
+
+class TestSpectralExpReference:
+    """``eja._spectral_exp`` against the pipeline it replaced, kept above."""
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_step_matches_reference_bit_for_bit(self, spec, rng):
+        alg = AlgebraDescriptor.from_spec(spec)
+        scales = eja._coord_scales(alg)
+        eta = 0.05
+        for name, x in _step_cases(alg, rng).items():
+            scaled = [-eta * b for b in x.blocks]
+            with np.errstate(over="ignore"):
+                got = scales * eja._spectral_exp(alg.factors, scaled, True)
+            want_sums = _reference_sums(alg.factors, scaled, _reference_normalized_exp)
+            want = _reference_coords(alg.factors, want_sums)
+            assert got.tobytes() == want.tobytes(), name
+            state = cone_mwu_step(cone_mwu_init(alg, eta), x)
+            cumulative = [-eta * b for b in state.cumulative_loss.blocks]
+            want_sums = _reference_sums(alg.factors, cumulative, _reference_normalized_exp)
+            for a, b in zip(state.iterate.blocks, _reference_blocks(alg.factors, want_sums)):
+                assert a.tobytes() == b.tobytes(), name
+            entries = _reference_entries(alg.factors, x.blocks)
+            d = spectral_decompose(x)
+            assert d.eigenvalues.tobytes() == np.array([e[0] for e in entries]).tobytes(), name
+            for q, (_, idx, data) in zip(d.frame, entries):
+                f = alg.factors[idx]
+                want_block = np.outer(data, data) if isinstance(f, eja.SymMatrix) else data
+                assert q.blocks[idx].tobytes() == np.array(want_block).tobytes(), name
+            if name != "overflowing-norm":  # whose exp overflows
+                want_sums = _reference_sums(alg.factors, x.blocks, np.exp)
+                for a, b in zip(expm(x).blocks, _reference_blocks(alg.factors, want_sums)):
+                    assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("spec", ["s3", "r2+s3+q4", "s3+s3+q3"])
+    def test_non_finite_block_raises_as_before(self, spec):
+        alg = AlgebraDescriptor.from_spec(spec)
+        blocks = [np.array(b) for b in zero(alg).blocks]
+        where = [isinstance(f, eja.SymMatrix) for f in alg.factors].index(True)
+        blocks[where][0, 1] = blocks[where][1, 0] = math.inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as new:
+                eja._spectral_exp(alg.factors, blocks, True)
+        with pytest.raises(ValueError) as old:
+            _reference_sums(alg.factors, blocks, _reference_normalized_exp)
+        assert str(new.value) == str(old.value) == "matrix contains non-finite values (NaN or inf)"
 
 
 class TestConeRegret:
@@ -554,6 +726,13 @@ class TestDenseStep:
                 DenseMeasure(np.array(bad))
         with pytest.raises(ValueError, match="nonnegative"):
             DenseDistribution(np.array([0.5, 0.5, math.nan]), 1)
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0.5]], [[1.0]], 1.0, []])
+    def test_shapes_other_than_a_nonempty_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be a nonempty 1-d array"):
+            DenseMeasure(bad)
+        with pytest.raises(ValueError, match="probabilities must be a nonempty 1-d array"):
+            DenseDistribution(bad, 1)
 
     def test_point_mass_projection(self):
         dist = bregman_project(uniform_measure(1), 1)

@@ -579,7 +579,7 @@ class TestConeLoopReference:
         assert str(new.value) == str(old.value)
         # raised by the step kernel's Jacobi prelude, not by the noisy loss
         names = [entry.name for entry in new.traceback]
-        assert names[-1] == "_jacobi_lists" and "_exp_sums" in names
+        assert names[-1] == "_jacobi_lists" and "_spectral_exp" in names
 
 
 class TestScheduleCap:
