@@ -7,8 +7,10 @@ call at r = 3, 8 and 10 with that size's generated kernel dropped from the
 cache (compile included; the cache is keyed by n, and the case is left out
 for a checkout that has no kernel cache), the stacked eigenvalue Jacobi on
 the S3 stacks of a criterion-09 instance (m = 32) and of a 4,000-row r2+s3+q4 instance, the spin-factor
-eigenvalues of that instance's Q4 stack and its whole ``ScpInstance.width``
-(the cached property's function, run afresh on each call), the primal
+eigenvalues of that instance's Q4 stack, its whole ``ScpInstance.width``
+and its ``ScpInstance.constraint_coords`` (each the cached property's
+function, run afresh on each call), ``to_coords`` plus ``from_coords`` on
+one r2+s3+q4 element, the primal
 solver loop's cone step (``eja._spectral_exp`` on the scaled cumulative
 loss, times the ``eja._coord_scales`` products, inside the loop's one
 overflow guard; left out for a checkout without it) and one cone MWU step
@@ -78,6 +80,7 @@ from conedp.eja import (  # noqa: E402
     _jacobi_eigh,
     _jacobi_eigvals_stacked,
     _stacked_eigenvalues,
+    from_coords,
     identity,
     to_coords,
 )
@@ -217,7 +220,14 @@ def cases(repeat: int, min_time: float) -> dict[str, tuple[float, float]]:
     out[f"width/m{IO_ROWS}"] = per_call(
         lambda: ScpInstance.width.func(wide), repeat, min_time
     )
+    out[f"constraint_coords/m{IO_ROWS}"] = per_call(
+        lambda: ScpInstance.constraint_coords.func(wide), repeat, min_time
+    )
     alg = wide.algebra
+    point = random_element(alg, RandomSource(3))
+    out["coords_roundtrip/r2+s3+q4"] = per_call(
+        lambda: from_coords(alg, to_coords(point)), repeat, min_time
+    )
     uniform = to_coords(identity(alg) / alg.rank)
     out[f"violations/m{IO_ROWS}"] = per_call(lambda: wide.violations(uniform), repeat, min_time)
     config = SolverConfig(

@@ -11,6 +11,7 @@ function, so elements can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ __all__ = [
     "to_coords",
     "from_coords",
     "min_eigenvalue",
-    "in_cone",
 ]
 
 
@@ -207,6 +207,33 @@ def _block_shape(factor: Factor) -> tuple[int, ...]:
     if isinstance(factor, SymMatrix):
         return (factor.r, factor.r)
     return (factor.dim,)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+@functools.cache
+def _layout(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row, column and factor of each orthonormal coordinate of an r x r
+    symmetric block, read-only and cached per size: the diagonal (factor
+    1.0), then the strict upper triangle row-major (factor sqrt(2))."""
+    iu, ju = np.triu_indices(r, k=1)
+    diag = np.arange(r)
+    factors = np.concatenate((np.ones(r), np.full(len(iu), _SQRT2)))
+    layout = (np.concatenate((diag, iu)), np.concatenate((diag, ju)), factors)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _symmetric(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, r: int) -> np.ndarray:
+    """The r x r blocks, one per row of ``values`` (leading batch axes are
+    kept), with value k at entries (rows[k], cols[k]) and (cols[k], rows[k])
+    and zeros elsewhere."""
+    out = np.zeros(values.shape[:-1] + (r, r))
+    out[..., rows, cols] = values
+    out[..., cols, rows] = values
+    return out
 
 
 class EjaElement:
@@ -405,17 +432,6 @@ _JACOBI_MAX_SWEEPS = 30
 
 
 _KERNELS: dict[int, dict] = {}
-_COORD_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def _coord_pairs(r: int) -> tuple[tuple[int, int], ...]:
-    """The entry (p, q) behind each orthonormal coordinate of an r x r
-    symmetric block: the diagonal, then the strict upper triangle row-major."""
-    pairs = _COORD_PAIRS.get(r)
-    if pairs is None:
-        upper = tuple(itertools.combinations(range(r), 2))
-        pairs = _COORD_PAIRS[r] = tuple((p, p) for p in range(r)) + upper
-    return pairs
 
 
 def _kernel_source(n: int) -> str:
@@ -431,7 +447,7 @@ def _kernel_source(n: int) -> str:
     is the same sequence.
     ``recombine(terms)`` adds each (w, u) of ``terms`` in order as
     acc + w * (u_p * u_q), one local ``e{p}_{q}`` per coordinate of
-    :func:`_coord_pairs`.
+    :func:`_layout`.
     """
 
     def a(p: int, q: int) -> str:  # the local of entries (p, q) and (q, p)
@@ -492,7 +508,7 @@ def _kernel_source(n: int) -> str:
         # the diagonal finite, so no NaN reaches the comparison
         f"    order = sorted(range({n}), key=diag.__getitem__, reverse=True)",
     ]
-    entries = _coord_pairs(n)
+    entries = list(zip(*(a.tolist() for a in _layout(n)[:2])))
     coords = [f"e{p}_{q}" for p, q in entries]
     lines += [
         f"    vt = [{', '.join('[' + ', '.join(row) + ']' for row in v)}]",
@@ -699,8 +715,9 @@ def _stacked_eigenvalues(factor: Factor, blocks: np.ndarray) -> np.ndarray:
     if isinstance(factor, SymMatrix):
         return _jacobi_eigvals_stacked(blocks)
     # per-row norms: a batched reduction sums in another order
-    radius = np.array([_norm2(b[1:]) for b in blocks])
-    return np.stack((blocks[:, 0] + radius, blocks[:, 0] - radius), axis=1)
+    with np.errstate(over="ignore"):  # an overflowing radius takes the rescale
+        radius = np.array([_radius(b[1:]) for b in blocks])
+        return np.stack((blocks[:, 0] + radius, blocks[:, 0] - radius), axis=1)
 
 
 def eigenvalues(x: EjaElement) -> np.ndarray:
@@ -711,20 +728,33 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     return vals[np.argsort(-vals, kind="stable")]
 
 
+def _radius(xbar: np.ndarray) -> float:
+    """|xbar|, a spin block's radius, by :func:`_norm2`.  When that overflows
+    on finite entries, it is the norm of xbar scaled by an exact power of
+    two, scaled back, as in :func:`_jacobi_lists`, so only a radius beyond
+    DBL_MAX is inf.  Callers ignore overflow around it."""
+    radius = _norm2(xbar)
+    if radius == math.inf and np.isfinite(xbar).all():
+        exponent = int(np.frexp(np.abs(xbar).max())[1])
+        radius = float(np.ldexp(_norm2(np.ldexp(xbar, -exponent)), exponent))
+    return radius
+
+
 def _spectrum(f: Factor, b: np.ndarray) -> tuple[list[float], list[list[float]] | None]:
     """One block's eigenvalues, as floats, and each one's frame data: a real
     block's entries, whose frame is the standard basis (None); a symmetric
     block's descending spectrum and unit eigenvectors u (the frame elements
     are u u^T), from :func:`_jacobi_lists` under the caller's overflow
-    guard; a spin block's x0 +- |xbar| and frame (1, +-xbar/|xbar|)/2, with
-    the arithmetic of 0.5 * concatenate(([1], sgn * xbar / |xbar|)).
+    guard; a spin block's x0 +- |xbar| (:func:`_radius`, under the same
+    guard) and frame (1, +-xbar/|xbar|)/2, with the arithmetic of
+    0.5 * concatenate(([1], sgn * xbar / |xbar|)).
     """
     if isinstance(f, SymMatrix):
         return _jacobi_lists(b, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
     if isinstance(f, RealVector):
         return b.tolist(), None
     x0, *xbar = b.tolist()
-    radius = _norm2(b[1:])
+    radius = _radius(b[1:])
     direction = [x / radius for x in xbar] if radius > 0.0 else [1.0] + [0.0] * (f.n - 2)
     frame = [[0.5] + [0.5 * (sgn * x) for x in direction] for sgn in (1.0, -1.0)]
     return [x0 + radius, x0 - radius], frame
@@ -812,20 +842,8 @@ def _spectral_exp(
 
 
 def _flat_element(alg: AlgebraDescriptor, flat: list[float]) -> EjaElement:
-    """The element of :func:`_spectral_exp`'s flat list, symmetric blocks
-    mirrored from their upper triangle."""
-    blocks = []
-    pos = 0
-    for f in alg.factors:
-        acc = flat[pos : pos + f.dim]
-        pos += f.dim
-        if isinstance(f, SymMatrix):
-            rows = [[0.0] * f.r for _ in range(f.r)]
-            for (p, q), value in zip(_coord_pairs(f.r), acc):
-                rows[p][q] = rows[q][p] = value
-            acc = rows
-        blocks.append(np.array(acc))
-    return EjaElement._derived(alg, blocks)
+    """The element of :func:`_spectral_exp`'s flat list."""
+    return EjaElement._derived(alg, _unscaled_blocks(alg, np.array(flat)))
 
 
 def expm(x: EjaElement) -> EjaElement:
@@ -857,25 +875,15 @@ def norm(x: EjaElement, p) -> float:
     raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or math.inf")
 
 
-_SQRT2 = math.sqrt(2.0)
-_SYM_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _triu_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
-    if r not in _SYM_TRIU_CACHE:
-        _SYM_TRIU_CACHE[r] = np.triu_indices(r, k=1)
-    return _SYM_TRIU_CACHE[r]
-
-
 def _factor_coords(factor: Factor, block: np.ndarray) -> np.ndarray:
     """One factor's part of :func:`to_coords`; ``block`` may carry leading
-    batch axes, so a stack of m blocks maps to m rows of coordinates."""
+    batch axes, so a stack of m blocks maps to m rows of coordinates, C-ordered
+    like every stack, since the BLAS products over them round by layout."""
     if isinstance(factor, RealVector):
         return block
     if isinstance(factor, SymMatrix):
-        iu, ju = _triu_indices(factor.r)
-        diag = np.diagonal(block, axis1=-2, axis2=-1)
-        return np.concatenate((diag, _SQRT2 * block[..., iu, ju]), axis=-1)
+        rows, cols, factors = _layout(factor.r)
+        return np.multiply(block[..., rows, cols], factors, order="C")
     return _SQRT2 * block
 
 
@@ -883,8 +891,8 @@ def to_coords(x: EjaElement) -> np.ndarray:
     """Orthonormal-basis coordinates; preserves the trace inner product.
 
     Symmetric blocks map to (diagonal, then sqrt(2) times the strict upper
-    triangle row-major); spin blocks are scaled by sqrt(2).  The ordering
-    is fixed so the map is reproducible bit for bit.
+    triangle row-major, :func:`_layout`); spin blocks are scaled by sqrt(2).
+    The ordering is fixed so the map is reproducible bit for bit.
     """
     return np.concatenate(
         [_factor_coords(f, b) for f, b in zip(x.algebra.factors, x.blocks)]
@@ -892,35 +900,28 @@ def to_coords(x: EjaElement) -> np.ndarray:
 
 
 def _coord_scales(alg: AlgebraDescriptor) -> np.ndarray:
-    """The factors that take :func:`_spectral_exp`'s flat list to
-    :func:`to_coords` with its products: 1.0, or sqrt(2) off a symmetric
-    diagonal and in a spin block."""
-    return to_coords(EjaElement(alg, [np.ones(_block_shape(f)) for f in alg.factors]))
+    """The factor of each coordinate of :func:`to_coords`: 1.0 in a real
+    block and on a symmetric diagonal, sqrt(2) off it and in a spin block."""
+    return np.concatenate([
+        _layout(f.r)[2] if isinstance(f, SymMatrix)
+        else np.full(f.dim, 1.0 if isinstance(f, RealVector) else _SQRT2)
+        for f in alg.factors
+    ])
 
 
-def _coords_blocks(alg: AlgebraDescriptor, v: np.ndarray) -> list[np.ndarray]:
-    """The blocks of :func:`from_coords`; ``v`` may carry leading batch
-    axes, so m rows of coordinates map to one (m, *block shape) stack per
-    factor."""
+def _unscaled_blocks(alg: AlgebraDescriptor, flat: np.ndarray) -> list[np.ndarray]:
+    """The blocks whose coordinates are ``flat`` times :func:`_coord_scales`:
+    real and spin blocks are its slices, symmetric ones scattered through
+    :func:`_layout`.  ``flat`` may carry leading batch axes, so m rows map
+    to one (m, *block shape) stack per factor."""
     blocks = []
     pos = 0
     for f in alg.factors:
-        chunk = v[..., pos : pos + f.dim]
+        chunk = flat[..., pos : pos + f.dim]
         pos += f.dim
-        if isinstance(f, RealVector):
-            blocks.append(chunk)
-        elif isinstance(f, SymMatrix):
-            r = f.r
-            m = np.zeros(v.shape[:-1] + (r, r))
-            diag = np.arange(r)
-            m[..., diag, diag] = chunk[..., :r]
-            iu, ju = _triu_indices(r)
-            off = chunk[..., r:] / _SQRT2
-            m[..., iu, ju] = off
-            m[..., ju, iu] = off
-            blocks.append(m)
-        else:
-            blocks.append(chunk / _SQRT2)
+        if isinstance(f, SymMatrix):
+            chunk = _symmetric(chunk, *_layout(f.r)[:2], f.r)
+        blocks.append(chunk)
     return blocks
 
 
@@ -929,14 +930,9 @@ def from_coords(alg: AlgebraDescriptor, v: Sequence[float]) -> EjaElement:
     v = np.asarray(v, dtype=float)
     if v.shape != (alg.dim,):
         raise ValueError(f"expected {alg.dim} coordinates, got shape {v.shape}")
-    return EjaElement(alg, _coords_blocks(alg, v))
+    return EjaElement(alg, _unscaled_blocks(alg, v / _coord_scales(alg)))
 
 
 def min_eigenvalue(x: EjaElement) -> float:
-    vals = eigenvalues(x)
-    return float(vals[-1])
-
-
-def in_cone(x: EjaElement, tol: float = 1e-9) -> bool:
-    """Membership in the cone of squares, up to eigenvalue tolerance."""
-    return min_eigenvalue(x) >= -tol
+    """The smallest eigenvalue; x lies in the cone of squares when it is >= 0."""
+    return float(eigenvalues(x)[-1])

@@ -42,26 +42,6 @@ def _clean_errors(prefix=""):
         raise click.ClickException(f"{prefix}{exc}") from exc
 
 
-def _config(eps, delta, alpha, beta, density, dinf) -> SolverConfig:
-    return SolverConfig(
-        alpha=alpha,
-        beta=beta,
-        budget=PrivacyBudget(eps, delta),
-        density=density,
-        sensitivity=Sensitivity(dinf, "linf"),
-    )
-
-
-def _opt(solver, opt, metadata):
-    """The trace budget: --opt, else the instance's planted_opt, which
-    covering-hs cannot run without."""
-    if solver == "covering-hs" and opt is None:
-        opt = metadata.get("planted_opt")
-        if opt is None:
-            raise click.ClickException("covering-hs needs --opt or planted_opt metadata")
-    return opt
-
-
 @click.group()
 def main():
     """Private symmetric-cone-program toolkit."""
@@ -91,31 +71,60 @@ def gen(kind, alg, rank, m, seed, margin, analytic, out):
     click.echo(f"wrote {out} ({metadata['generator']}, m={m})")
 
 
-@main.command()
-@click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
-@click.option("--solver", type=click.Choice(SOLVER_NAMES), required=True)
-@click.option("--eps", type=float, default=1.0, show_default=True)
-@click.option("--delta", type=float, default=1e-5, show_default=True)
-@click.option("--alpha", type=float, default=0.1, show_default=True)
-@click.option("--beta", type=float, default=0.05, show_default=True)
-@click.option("--s", "density", type=int, default=1, show_default=True)
-@click.option("--dinf", type=float, default=0.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--opt", type=float, default=None, help="Trace budget for covering-hs.")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-def solve(instance_path, solver, eps, delta, alpha, beta, density, dinf, seed, opt, csv_path):
-    """Run one solver on one instance with one seed."""
+def _run_options(command):
+    """The options that ``solve`` and ``bench`` share, declared once."""
+    for option in reversed((
+        click.option("--instance", "instance_path", type=click.Path(exists=True), required=True),
+        click.option("--solver", type=click.Choice(SOLVER_NAMES), required=True),
+        click.option("--delta", type=float, default=1e-5, show_default=True),
+        click.option("--alpha", type=float, default=0.1, show_default=True),
+        click.option("--beta", type=float, default=0.05, show_default=True),
+        click.option("--s", "density", type=int, default=1, show_default=True),
+        click.option("--dinf", type=float, default=0.0, show_default=True),
+        click.option("--opt", type=float, default=None, help="Trace budget for covering-hs."),
+    )):
+        command = option(command)
+    return command
+
+
+def _run(
+    epsilons, seeds, csv_path, include_wall, instance_path, solver, delta, alpha, beta, density,
+    dinf, opt,
+):
+    """Run the solver at each epsilon of ``epsilons()`` over these seeds, with
+    the trace budget --opt, else the file's planted_opt.  Every setting is
+    checked before the first solve, and the rows are written once, after the
+    last run, so an epsilon that fails in its solver leaves no row behind."""
     with _clean_errors(f"{instance_path}: "):
         instance, metadata = load_instance(instance_path)
-    opt = _opt(solver, opt, metadata)
+    if solver == "covering-hs" and opt is None:
+        opt = metadata.get("planted_opt")
+        if opt is None:
+            raise click.ClickException("covering-hs needs --opt or planted_opt metadata")
+    grid = epsilons()
     with _clean_errors():
-        config = _config(eps, delta, alpha, beta, density, dinf)
-        records = run_experiment(instance, solver, config, [seed], opt=opt)
+        configs = [
+            SolverConfig(alpha, beta, PrivacyBudget(eps, delta), density, Sensitivity(dinf, "linf"))
+            for eps in grid
+        ]
+        runs = [run_experiment(instance, solver, c, seeds, opt=opt) for c in configs]
         if csv_path:
-            write_records(csv_path, records, include_wall=False)
+            rows = [r for records in runs for r in records]
+            write_records(csv_path, rows, include_wall=include_wall)
+    return grid, runs
+
+
+@main.command()
+@_run_options
+@click.option("--eps", type=float, default=1.0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
+def solve(eps, seed, csv_path, **run):
+    """Run one solver on one instance with one seed."""
+    _, [records] = _run(lambda: [eps], [seed], csv_path, False, **run)
     report = records[0].report
     click.echo(
-        f"{solver}: T={report.iterations} max_violation={report.max_violation:.6g} "
+        f"{run['solver']}: T={report.iterations} max_violation={report.max_violation:.6g} "
         f"violated={report.num_violated} flags={list(report.guarantee_flags)}"
     )
     if report.guarantee_flags:
@@ -140,39 +149,26 @@ def audit(mech, eps, delta, trials, seed, negative_control):
 
 
 @main.command()
-@click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
-@click.option("--solver", type=click.Choice(SOLVER_NAMES), required=True)
+@_run_options
 @click.option("--eps-grid", default="0.5,1,2,4", show_default=True)
 @click.option("--seeds", type=int, default=5, show_default=True)
-@click.option("--delta", type=float, default=1e-5, show_default=True)
-@click.option("--alpha", type=float, default=0.1, show_default=True)
-@click.option("--beta", type=float, default=0.05, show_default=True)
-@click.option("--s", "density", type=int, default=1, show_default=True)
-@click.option("--dinf", type=float, default=0.0, show_default=True)
-@click.option("--opt", type=float, default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), required=True)
-def bench(instance_path, solver, eps_grid, seeds, delta, alpha, beta, density, dinf, opt, csv_path):
+def bench(eps_grid, seeds, csv_path, **run):
     """Sweep epsilon values and seeds, appending timed rows to a CSV."""
-    with _clean_errors(f"{instance_path}: "):
-        instance, metadata = load_instance(instance_path)
-    opt = _opt(solver, opt, metadata)
-    # every setting is checked before the first solve writes a row
-    try:
-        grid = [float(tok) for tok in eps_grid.split(",")]
-    except ValueError as exc:
-        raise click.BadParameter(
-            f"{eps_grid!r} is not a comma-separated list of numbers", param_hint="'--eps-grid'"
-        ) from exc
-    with _clean_errors():
-        configs = [_config(eps, delta, alpha, beta, density, dinf) for eps in grid]
-        # the whole grid runs before the one write, so an epsilon that fails
-        # in its solver (an overspending composition) leaves no row behind
-        runs = [run_experiment(instance, solver, c, range(seeds), opt=opt) for c in configs]
-        rows = [r for records in runs for r in records]
-        write_records(csv_path, rows, include_wall=True)
+
+    def epsilons():
+        try:
+            return [float(tok) for tok in eps_grid.split(",")]
+        except ValueError as exc:
+            raise click.BadParameter(
+                f"{eps_grid!r} is not a comma-separated list of numbers",
+                param_hint="'--eps-grid'",
+            ) from exc
+
+    grid, runs = _run(epsilons, range(seeds), csv_path, True, **run)
     for eps, records in zip(grid, runs):
         click.echo(f"eps={eps}: wrote {len(records)} rows")
-    if any(r.report.guarantee_flags for r in rows):
+    if any(r.report.guarantee_flags for records in runs for r in records):
         sys.exit(2)
 
 

@@ -20,7 +20,7 @@ from conedp.eja import (
     trace,
     zero,
 )
-from conedp.eja import _coords_blocks, _jacobi_eigvals_stacked, _stacked_eigenvalues
+from conedp.eja import _coord_scales, _jacobi_eigvals_stacked, _stacked_eigenvalues, _unscaled_blocks
 from conedp.mechanisms import RandomSource
 from conedp.oracles import ScpInstance
 
@@ -57,7 +57,7 @@ def _spectrum_bounded_rows(alg: AlgebraDescriptor, rng: RandomSource, m: int) ->
     parts = []
     while m:
         z, u = rng.normal_rows(m, alg.dim, extra=1)
-        stacks = _coords_blocks(alg, z)
+        stacks = _unscaled_blocks(alg, z / _coord_scales(alg))
         spectra = [_stacked_eigenvalues(f, s) for f, s in zip(alg.factors, stacks)]
         top = np.abs(np.concatenate(spectra, axis=1)).max(axis=1)
         zero_rows = np.flatnonzero(top == 0.0)

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from conedp.eja import AlgebraDescriptor, EjaElement, SymMatrix
+from conedp.eja import AlgebraDescriptor, EjaElement, SymMatrix, _symmetric
 from conedp.oracles import ScpInstance
 
 __all__ = [
@@ -55,7 +55,7 @@ def _read_rows(alg: AlgebraDescriptor, rows, field: str) -> list[np.ndarray]:
     Every row's block count and packed lengths are checked first, so errors
     name the ``field`` ("constraint" or "objective", which is one row) and
     the first bad row; then each factor is read with one ``np.array`` and
-    symmetric blocks are unpacked with one scatter.
+    symmetric blocks are unpacked with ``eja._symmetric``'s scatter.
     """
     sizes = [f.dim for f in alg.factors]  # packed length of each block
     for i, row in enumerate(rows):
@@ -81,11 +81,7 @@ def _read_rows(alg: AlgebraDescriptor, rows, field: str) -> list[np.ndarray]:
             message = f"{field} {factor.spec} blocks must hold numbers, not lists"
             raise ValueError(message)
         if isinstance(factor, SymMatrix):
-            full = np.zeros((len(rows), factor.r, factor.r))
-            iu, ju = np.triu_indices(factor.r)
-            full[:, iu, ju] = packed
-            full[:, ju, iu] = packed
-            packed = full
+            packed = _symmetric(packed, *np.triu_indices(factor.r), factor.r)
         stacks.append(packed)
     return stacks
 

@@ -344,18 +344,11 @@ def _update_factors(losses: np.ndarray, eta: float) -> np.ndarray:
 
 def _reweighted(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """min(1, w * factors) as a new array, unchecked: the next
-    :func:`_projected` or ``DenseMeasure`` checks it, and
-    :func:`_check_final_weights` the last update of a run, which no
-    projection follows."""
+    :func:`_projected` or ``DenseMeasure`` checks it, and the covering loop
+    its last update, which no projection follows."""
     updated = w * factors
     np.minimum(1.0, updated, out=updated)
     return updated
-
-
-def _check_final_weights(w: np.ndarray) -> None:
-    """Check the weights of a run's last :func:`_reweighted` update as
-    measure weights."""
-    _check_weights(w)
 
 
 def dense_mwu_step(measure: DenseMeasure, losses, eta: float) -> DenseMeasure:

@@ -53,7 +53,7 @@ from conedp.mechanisms import (
     gaussian_mechanism,
 )
 from conedp.mwu import (
-    _check_final_weights,
+    _check_weights,
     _finite_loss,
     _projected,
     _reweighted,
@@ -472,7 +472,7 @@ def solve_covering_high_sensitivity(
             flags.append("width-exceeded")
         if trace_rows is not None:
             trace_rows.append((t, worst, worst_raw))
-    _check_final_weights(weights)
+    _check_weights(weights)  # the last update, which no projection checks
     x_bar = from_coords(instance.algebra, avg_coords / iterations)
     return _build_report(x_bar, instance, alpha, iterations, tuple(flags), trace_rows)
 

@@ -1,5 +1,6 @@
 """Unit tests for the algebra layer: operations, examples, and axioms."""
 
+import itertools
 import math
 import re
 
@@ -11,11 +12,12 @@ from conedp.eja import (
     AlgebraMismatchError,
     EjaElement,
     JacobiConvergenceError,
+    SpinFactor,
+    SymMatrix,
     eigenvalues,
     expm,
     from_coords,
     identity,
-    in_cone,
     inner,
     jordan_product,
     min_eigenvalue,
@@ -244,6 +246,36 @@ def _jacobi_edge_matrices():
 def _overflowing_norm_matrix():
     g = np.random.default_rng(7).standard_normal((3, 3))
     return 1e160 * (g + g.T)
+
+
+class TestSpinRadiusOverflow:
+    """A spin radius whose sum of squares overflows on finite entries."""
+
+    def test_spectrum_and_frame_are_finite(self):
+        x = EjaElement(Q3, [np.array([0.0, 1e200, 1e200])])
+        want = [math.sqrt(2.0) * 1e200, -math.sqrt(2.0) * 1e200]
+        assert eigenvalues(x).tolist() == pytest.approx(want, rel=1e-15)
+        d = spectral_decompose(x)
+        assert d.eigenvalues.tolist() == eigenvalues(x).tolist()
+        half = 0.5 / math.sqrt(2.0)
+        assert d.frame[0].blocks[0].tolist() == pytest.approx([0.5, half, half], rel=1e-15)
+        assert d.frame[1].blocks[0].tolist() == pytest.approx([0.5, -half, -half], rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "xbar, want",
+        [
+            ([1.5e308, 1.5e308], [math.inf, -math.inf]),  # the radius is beyond DBL_MAX
+            ([math.inf, 1.0], [math.inf, -math.inf]),
+            ([math.nan, 1.0], [math.nan, math.nan]),
+        ],
+    )
+    def test_unrepresentable_radius_keeps_its_result(self, xbar, want):
+        block = np.array([0.0, *xbar])
+        assert _factor_eigenvalues(Q3.factors[0], block).tolist() == pytest.approx(
+            want, nan_ok=True
+        )
+        stacked = _stacked_eigenvalues(Q3.factors[0], block[None])
+        assert stacked.tobytes() == _factor_eigenvalues(Q3.factors[0], block).tobytes()
 
 
 class TestJacobiEdgeCases:
@@ -586,17 +618,48 @@ class TestIsometry:
         with pytest.raises(ValueError):
             from_coords(S2, np.zeros(2))
 
+    @pytest.mark.parametrize("spec", ["r3", "s1", "s4", "q5", "r2+s3+q4"])
+    def test_codec_matches_an_explicit_layout_bit_for_bit(self, spec, rng):
+        # the map written out entry by entry: the diagonal, then sqrt(2)
+        # times the strict upper triangle row-major; spin blocks times sqrt(2)
+        alg = AlgebraDescriptor.from_spec(spec)
+        x = random_element(alg, rng)
+        want = []
+        for f, b in zip(alg.factors, x.blocks):
+            if isinstance(f, SymMatrix):
+                want += [b[p, p] for p in range(f.r)]
+                want += [math.sqrt(2.0) * b[p, q] for p, q in itertools.combinations(range(f.r), 2)]
+            elif isinstance(f, SpinFactor):
+                want += [math.sqrt(2.0) * v for v in b]
+            else:
+                want += list(b)
+        got = to_coords(x)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.array(want).tobytes()
+        coords = iter(got.tolist())
+        for f, block in zip(alg.factors, from_coords(alg, got).blocks):
+            want = np.zeros(block.shape)
+            if isinstance(f, SymMatrix):
+                for p in range(f.r):
+                    want[p, p] = next(coords)
+                for p, q in itertools.combinations(range(f.r), 2):
+                    want[p, q] = want[q, p] = next(coords) / math.sqrt(2.0)
+            else:
+                scale = math.sqrt(2.0) if isinstance(f, SpinFactor) else 1.0
+                want[:] = [next(coords) / scale for _ in range(f.dim)]
+            assert block.tobytes() == want.tobytes()
+
 
 class TestCone:
     def test_examples(self):
-        assert in_cone(identity(S2))
-        assert not in_cone(sym([[2, 0], [0, -1]]))
+        assert min_eigenvalue(identity(S2)) >= -1e-9
+        assert not min_eigenvalue(sym([[2, 0], [0, -1]])) >= -1e-9
         assert min_eigenvalue(sym([[2, 0], [0, -1]])) == pytest.approx(-1.0)
 
     def test_squares_are_members(self, rng):
         for alg in FACTOR_ALGEBRAS.values():
             x = random_element(alg, rng)
-            assert in_cone(jordan_product(x, x), tol=1e-9)
+            assert min_eigenvalue(jordan_product(x, x)) >= -1e-9
 
 
 class TestAxioms:

@@ -119,6 +119,15 @@ class TestConeStep:
         with pytest.raises(ValueError):
             cone_mwu_step(state, rvec(R2, [math.inf, 0.0]))
 
+    def test_overflowing_spin_radius_gives_a_finite_iterate(self):
+        # the scaled loss's radius squared overflows; its spectrum is about
+        # +-7.07e198, so all the weight goes to the frame element of the top one
+        q3 = AlgebraDescriptor.spin(3)
+        loss = EjaElement(q3, [np.array([0.0, 1e200, 1e200])])
+        block = cone_mwu_step(cone_mwu_init(q3, 0.05), loss).iterate.blocks[0]
+        half = 0.5 / math.sqrt(2.0)
+        assert block.tolist() == pytest.approx([0.5, -half, -half], rel=1e-15)
+
 
 def _frame_cone_step(state, loss):
     """The cone step rebuilt from constructed elements and a full Jordan
@@ -229,12 +238,14 @@ def _reference_coords(factors, sums):
 
 def _reference_blocks(factors, sums):
     """``eja._sums_element``'s blocks, symmetric ones mirrored from the upper
-    triangle."""
+    triangle, whose entries the sums list as the diagonal, then the strict
+    upper triangle row-major."""
     blocks = []
     for f, acc in zip(factors, sums):
         if isinstance(f, eja.SymMatrix):
             rows = [[0.0] * f.r for _ in range(f.r)]
-            for (p, q), value in zip(eja._coord_pairs(f.r), acc):
+            entries = [(p, p) for p in range(f.r)] + list(itertools.combinations(range(f.r), 2))
+            for (p, q), value in zip(entries, acc):
                 rows[p][q] = rows[q][p] = value
             acc = rows
         blocks.append(np.array(acc))

@@ -228,6 +228,7 @@ def test_net_stack_matches_per_point_reference(spec, opt, gamma, repeats):
     want_coords = np.stack([to_coords(p) for p in points])
     assert net.coords.shape == want_coords.shape == (len(points), alg.dim)
     assert net.coords.tobytes() == want_coords.tobytes()
+    assert net.coords.flags.c_contiguous  # the layout the covering scores' BLAS rounds by
     got_blocks = np.stack([p.blocks[0] for p in net.points])
     want_blocks = np.stack([p.blocks[0] for p in points])
     assert got_blocks.shape == want_blocks.shape
@@ -539,6 +540,15 @@ class TestWidth:
         want = np.stack([to_coords(inst.row(i)) for i in range(inst.num_constraints)])
         assert inst.constraint_coords.tobytes() == want.tobytes()
         assert not inst.constraint_coords.flags.writeable
+        # the gemv in violations() rounds by layout, and the golden hashes pin C order
+        assert inst.constraint_coords.flags.c_contiguous
+
+    def test_overflowing_spin_radius(self):
+        # 1e200^2 overflows the sum of squares; the rescaled radius is finite
+        rows = (EjaElement(Q3, [np.array([0.0, 1e200, 1e200])]),)
+        inst = instance_from_rows(Q3, rows, np.zeros(1), zero(Q3), ("LE",))
+        assert inst.width == norm(rows[0], math.inf)
+        assert inst.width == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
 
 
 class TestInstanceValidation:
